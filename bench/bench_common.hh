@@ -63,15 +63,12 @@ struct BenchOptions
                                ? ExecutionMode::Timing
                                : ExecutionMode::Fast;
         options.run.sampledIntermediateLayers =
-            static_cast<unsigned>(cli.getInt("sampled", 4));
-        options.net.layers =
-            static_cast<unsigned>(cli.getInt("layers", 28));
-        options.run.jobs = static_cast<unsigned>(
-            cli.getInt("jobs", ThreadPool::hardwareJobs()));
+            cli.getCount("sampled", 4, 1);
+        options.net.layers = cli.getCount("layers", 28, 2);
+        options.run.jobs = cli.getCount("jobs", hardwareJobs(), 0);
         applyPipelineFlag(options.run, cli.has("pipeline"),
                           cli.getString("pipeline", ""));
-        options.run.chips =
-            static_cast<unsigned>(cli.getInt("chips", 1));
+        options.run.chips = cli.getCount("chips", 1, 1);
         options.run.partitionPolicy = partitionPolicyByName(
             cli.getString("partition",
                           partitionPolicyName(
@@ -145,7 +142,7 @@ banner(const char *figure, const BenchOptions &options)
                 static_cast<unsigned>(
                     static_cast<double>(kDatasetVertexCap) *
                     options.scale),
-                ThreadPool::resolveJobs(options.run.jobs),
+                resolveJobs(options.run.jobs),
                 options.run.pipelined()
                     ? (options.run.tileOverlap ? "tile" : "layer")
                     : "off");

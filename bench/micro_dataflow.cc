@@ -7,7 +7,9 @@
  * so dataflow-level perf moves are measurable without runNetwork's
  * sampling/extrapolation on top. Fast mode covers all three; timing
  * mode runs on a smaller fixture because the event-driven paths are
- * orders of magnitude slower.
+ * orders of magnitude slower. A fourth fast case runs EnGN, whose
+ * degree-aware vertex cache keeps lines pinned for the whole layer
+ * and so drives the cache's pinned fused path.
  */
 
 #include <benchmark/benchmark.h>
@@ -34,12 +36,11 @@ configFor(DataflowKind kind)
 }
 
 void
-runDataflow(benchmark::State &state, DataflowKind kind,
+runDataflow(benchmark::State &state, const AccelConfig &config,
             ExecutionMode mode, double scale)
 {
     const Dataset cora =
         instantiateDataset(datasetByAbbrev("CR"), scale);
-    const AccelConfig config = configFor(kind);
     const NetworkSpec net;
     const LayerContext ctx =
         makeIntermediateLayer(cora, cora.graph, config, net, 1);
@@ -62,7 +63,8 @@ runDataflow(benchmark::State &state, DataflowKind kind,
 void
 BM_DataflowFast(benchmark::State &state)
 {
-    runDataflow(state, static_cast<DataflowKind>(state.range(0)),
+    runDataflow(state,
+                configFor(static_cast<DataflowKind>(state.range(0))),
                 ExecutionMode::Fast, 0.1);
 }
 BENCHMARK(BM_DataflowFast)
@@ -71,10 +73,20 @@ BENCHMARK(BM_DataflowFast)
     ->Arg(static_cast<int>(DataflowKind::ColumnProduct))
     ->Unit(benchmark::kMillisecond);
 
+/** EnGN's agg-first layer with its DAVC pins live: the same
+ *  strategy as the first fast case, through the pinned cache path. */
+void
+BM_DataflowFastPinned(benchmark::State &state)
+{
+    runDataflow(state, makeEngn(), ExecutionMode::Fast, 0.1);
+}
+BENCHMARK(BM_DataflowFastPinned)->Unit(benchmark::kMillisecond);
+
 void
 BM_DataflowTiming(benchmark::State &state)
 {
-    runDataflow(state, static_cast<DataflowKind>(state.range(0)),
+    runDataflow(state,
+                configFor(static_cast<DataflowKind>(state.range(0))),
                 ExecutionMode::Timing, 0.05);
 }
 BENCHMARK(BM_DataflowTiming)

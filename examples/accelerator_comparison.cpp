@@ -23,13 +23,12 @@ main(int argc, char **argv)
     Cli cli(argc, argv);
     const std::string abbrev = cli.getString("dataset", "DB");
     NetworkSpec net;
-    net.layers = static_cast<unsigned>(cli.getInt("layers", 28));
+    net.layers = cli.getCount("layers", 28, 2);
     RunOptions opts;
     opts.mode = cli.getString("mode", "fast") == "timing"
                     ? ExecutionMode::Timing
                     : ExecutionMode::Fast;
-    opts.sampledIntermediateLayers =
-        static_cast<unsigned>(cli.getInt("sampled", 4));
+    opts.sampledIntermediateLayers = cli.getCount("sampled", 4, 1);
 
     const Dataset dataset =
         instantiateDataset(datasetByAbbrev(abbrev), cli.scale());

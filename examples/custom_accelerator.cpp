@@ -63,10 +63,9 @@ main(int argc, char **argv)
     Cli cli(argc, argv);
     const std::string abbrev = cli.getString("dataset", "FK");
     NetworkSpec net;
-    net.layers = static_cast<unsigned>(cli.getInt("layers", 28));
+    net.layers = cli.getCount("layers", 28, 2);
     RunOptions opts;
-    opts.sampledIntermediateLayers =
-        static_cast<unsigned>(cli.getInt("sampled", 4));
+    opts.sampledIntermediateLayers = cli.getCount("sampled", 4, 1);
 
     const Dataset dataset =
         instantiateDataset(datasetByAbbrev(abbrev), cli.scale());

@@ -25,7 +25,7 @@ main(int argc, char **argv)
     Cli cli(argc, argv);
     const std::string abbrev = cli.getString("dataset", "PM");
     NetworkSpec net;
-    net.layers = static_cast<unsigned>(cli.getInt("layers", 28));
+    net.layers = cli.getCount("layers", 28, 2);
     const ExecutionMode mode =
         cli.getString("mode", "fast") == "timing"
             ? ExecutionMode::Timing

@@ -21,8 +21,7 @@ main(int argc, char **argv)
 {
     Cli cli(argc, argv);
     const std::string abbrev = cli.getString("dataset", "CR");
-    const auto layers =
-        static_cast<unsigned>(cli.getInt("layers", 28));
+    const unsigned layers = cli.getCount("layers", 28, 2);
     const bool timing = cli.getString("mode", "fast") == "timing";
 
     // 1. Instantiate a dataset stand-in (Table II statistics).

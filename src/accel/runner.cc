@@ -64,11 +64,12 @@ struct ShardedLayer
 };
 
 /**
- * Run one layer on every chip of @p partition — contexts built
- * serially (they share global masks through the artifact cache), the
- * halo exchange priced off the chip input layouts, the chip engines
- * fanned over the jobs pool — and compose the results onto the
- * shared timeline. @p arch_layer 0 is the input layer.
+ * Run one layer on every chip of @p partition — each chip building
+ * its context and running its engine as one task of the jobs pool
+ * (the chips share global masks through the artifact cache), the
+ * halo exchange priced off the chip input layouts afterwards — and
+ * compose the results onto the shared timeline. @p arch_layer 0 is
+ * the input layer.
  *
  * @param injector fault decisions, or null for the fault-free path
  *        (which then prices bit-identically to the pre-fault code)
@@ -88,35 +89,19 @@ runShardedLayer(const AccelConfig &config, const Dataset &dataset,
                 Cycle recovery_cycles)
 {
     const unsigned chips = partition.numChips();
-    std::vector<LayerContext> contexts;
-    contexts.reserve(chips);
-    for (unsigned c = 0; c < chips; ++c) {
-        contexts.push_back(
-            arch_layer == 0
-                ? makeChipInputLayer(dataset, partition, c, config,
-                                     net)
-                : makeChipIntermediateLayer(dataset, partition, c,
-                                            config, net, arch_layer));
-    }
-
-    std::vector<const FeatureLayout *> in_layouts;
-    in_layouts.reserve(chips);
-    for (const LayerContext &ctx : contexts)
-        in_layouts.push_back(ctx.inLayout.get());
-
-    ShardedLayer out;
-    ExchangeFaultContext fault_ctx;
-    fault_ctx.injector = injector;
-    fault_ctx.archLayer = arch_layer;
-    fault_ctx.originalChip = original_chip.data();
-    out.exchange =
-        priceHaloExchange(partition, in_layouts, opts.link,
-                          injector ? &fault_ctx : nullptr);
-
     const double retry_prob =
         injector ? injector->plan().dramRetryProb() : 0.0;
+    std::vector<std::shared_ptr<const FeatureLayout>> in_layouts(chips);
     std::vector<LayerResult> chip_results(chips);
     parallelFor(opts.jobs, chips, [&](std::size_t c) {
+        const auto chip = static_cast<unsigned>(c);
+        const LayerContext ctx =
+            arch_layer == 0
+                ? makeChipInputLayer(dataset, partition, chip, config,
+                                     net)
+                : makeChipIntermediateLayer(dataset, partition, chip,
+                                            config, net, arch_layer);
+        in_layouts[c] = ctx.inLayout;
         // A dram-retry fault gives every chip its own derived retry
         // seed so chip timelines decorrelate; without one the shared
         // config is used untouched.
@@ -129,9 +114,21 @@ runShardedLayer(const AccelConfig &config, const Dataset &dataset,
                 injector->plan().seed, original_chip[c]);
             cfg = &chip_cfg;
         }
-        LayerEngine engine(*cfg, contexts[c]);
+        LayerEngine engine(*cfg, ctx);
         chip_results[c] = engine.run(opts.mode);
     });
+
+    std::vector<const FeatureLayout *> layouts;
+    layouts.reserve(chips);
+    for (const auto &layout : in_layouts)
+        layouts.push_back(layout.get());
+    ShardedLayer out;
+    ExchangeFaultContext fault_ctx;
+    fault_ctx.injector = injector;
+    fault_ctx.archLayer = arch_layer;
+    fault_ctx.originalChip = original_chip.data();
+    out.exchange = priceHaloExchange(partition, layouts, opts.link,
+                                     injector ? &fault_ctx : nullptr);
 
     if (injector) {
         // Chip stalls extend the stalled chip's drain (and so its
@@ -522,27 +519,32 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
         graph = reordered.get();
     }
 
-    if (opts.includeInputLayer) {
-        LayerContext ctx = makeInputLayer(dataset, *graph, cfg, net);
-        LayerEngine engine(cfg, ctx);
-        run.inputLayer = engine.run(opts.mode);
-        run.total.merge(run.inputLayer);
-    }
-
     // Intermediate layers: X^l for l in 1..layers-1 feeds layer l+1.
+    // The input layer and the sampled intermediate layers are
+    // independent simulations (each engine owns its cache and DRAM),
+    // so they fan out as one batch and merge here in layer order.
     const unsigned arch_intermediate = net.layers - 1;
     const auto indices = sampleLayerIndices(
         arch_intermediate, opts.sampledIntermediateLayers);
-    LayerResult sampled_sum;
-    for (unsigned idx : indices) {
-        const unsigned arch_layer = idx + 1;
-        LayerContext ctx = makeIntermediateLayer(dataset, *graph,
-                                                 cfg, net,
-                                                 arch_layer);
+    const std::size_t first = opts.includeInputLayer ? 1 : 0;
+    std::vector<LayerResult> layers(first + indices.size());
+    parallelFor(opts.jobs, layers.size(), [&](std::size_t i) {
+        const LayerContext ctx =
+            i < first ? makeInputLayer(dataset, *graph, cfg, net)
+                      : makeIntermediateLayer(dataset, *graph, cfg, net,
+                                              indices[i - first] + 1);
         LayerEngine engine(cfg, ctx);
-        LayerResult layer = engine.run(opts.mode);
-        run.sampledLayers.push_back(layer);
-        sampled_sum.merge(layer);
+        layers[i] = engine.run(opts.mode);
+    });
+
+    if (opts.includeInputLayer) {
+        run.inputLayer = std::move(layers.front());
+        run.total.merge(run.inputLayer);
+    }
+    LayerResult sampled_sum;
+    for (std::size_t i = first; i < layers.size(); ++i) {
+        run.sampledLayers.push_back(std::move(layers[i]));
+        sampled_sum.merge(run.sampledLayers.back());
     }
     sampled_sum.scale(static_cast<double>(arch_intermediate) /
                       static_cast<double>(indices.size()));

@@ -71,9 +71,13 @@ struct RunOptions
     bool tileOverlap = false;
 
     /**
-     * Worker threads for the runAll fan-out: 1 runs serially on the
-     * caller thread (the default, so library behaviour is unchanged),
-     * 0 uses every hardware thread, N uses at most N. Results are
+     * Parallelism of every fan-out a run makes: personalities in
+     * runAll, the input and sampled layers of one network, the chips
+     * of a sharded layer, served batches. 1 runs serially on the
+     * caller thread (the default, so library behaviour is
+     * unchanged), 0 uses every hardware thread, N runs at most N
+     * tasks of each fan-out at once. Nested fan-outs share one
+     * process-wide pool (src/sim/thread_pool.hh). Results are
      * deterministic and input-ordered regardless of the value.
      */
     unsigned jobs = 1;
@@ -157,7 +161,8 @@ RunResult runNetwork(const AccelConfig &config, const Dataset &dataset,
 
 /**
  * Run several personalities on one dataset. With opts.jobs != 1 the
- * simulations fan out across a thread pool; results keep the input
+ * simulations (and, nested, their layers) fan out across the shared
+ * pool; results keep the input
  * order and are bit-identical to the serial path (each simulation
  * owns all of its state — see src/sim/thread_pool.hh). On failure
  * the error of the lowest-index failing run is returned.

@@ -12,8 +12,8 @@ exclusivePrefixSum(std::vector<std::uint64_t> &counts, unsigned jobs)
 {
     const std::size_t n = counts.size();
     const unsigned threads =
-        static_cast<unsigned>(std::min<std::size_t>(
-            ThreadPool::resolveJobs(jobs), n / (1 << 16)));
+        static_cast<unsigned>(std::min<std::size_t>(resolveJobs(jobs),
+                                                    n / (1 << 16)));
     if (threads <= 1) {
         std::uint64_t running = 0;
         for (std::size_t i = 0; i < n; ++i) {

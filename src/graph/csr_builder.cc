@@ -33,11 +33,8 @@ CsrBuilder::effectiveJobs(std::uint64_t work) const
 {
     if (jobs == 1)
         return 1;
-    if (jobs == 0) {
-        return work >= kParallelEntryThreshold
-                   ? ThreadPool::hardwareJobs()
-                   : 1;
-    }
+    if (jobs == 0)
+        return work >= kParallelEntryThreshold ? hardwareJobs() : 1;
     return jobs;
 }
 

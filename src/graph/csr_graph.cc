@@ -71,9 +71,7 @@ CsrGraph::computeNormalization(unsigned jobs)
     // per-vertex 1/sqrt(deg) factors are stored; weights(v) forms
     // the products on access.
     invSqrtDeg.resize(n);
-    const unsigned threads = n >= (1u << 20)
-                                 ? ThreadPool::resolveJobs(jobs)
-                                 : 1;
+    const unsigned threads = n >= (1u << 20) ? resolveJobs(jobs) : 1;
     const VertexId block =
         static_cast<VertexId>(divCeil(n, threads));
     parallelFor(threads, threads, [&](std::size_t b) {
@@ -179,7 +177,7 @@ CsrGraph::permuted(const std::vector<VertexId> &perm,
     CsrBuilder builder(n, false, selfLoops > 0, jobs);
     const unsigned threads = builder.numVertices() >= (1u << 20) ||
                                      numEdges() >= (1u << 22)
-                                 ? ThreadPool::resolveJobs(jobs)
+                                 ? resolveJobs(jobs)
                                  : 1;
     const VertexId block =
         static_cast<VertexId>(divCeil(n, threads));

@@ -106,7 +106,7 @@ clusteredGraph(const ClusteredGraphParams &params)
     // datasets; chunkedRng switches to per-chunk substreams that
     // admit a parallel replay (see kGenChunkDraws).
     const unsigned threads =
-        params.chunkedRng ? ThreadPool::resolveJobs(params.jobs) : 1;
+        params.chunkedRng ? resolveJobs(params.jobs) : 1;
     CsrBuilder builder(n, true, true,
                        params.chunkedRng ? params.jobs : 0);
     const auto each_pass = [&](auto &&emit) {

@@ -182,8 +182,8 @@ bfsIslandOrder(const CsrGraph &graph, unsigned jobs)
     const std::vector<VertexId> seeds = graph.verticesByDegree();
 
     const unsigned threads =
-        jobs == 0 ? (n >= (1u << 20) ? ThreadPool::hardwareJobs() : 1)
-                  : ThreadPool::resolveJobs(jobs);
+        jobs == 0 ? (n >= (1u << 20) ? hardwareJobs() : 1)
+                  : resolveJobs(jobs);
     if (threads > 1)
         return bfsIslandOrderParallel(graph, threads, seeds);
 

@@ -616,14 +616,18 @@ Cache::accessRunFunctional(Addr line_addr, std::uint32_t lines,
                            MemOp op, TrafficClass cls)
 {
     // Per-line behavior is accessFunctional's exactly; statistics
-    // post once per run. Under LRU/FIFO with no live pins, the tag
-    // scan and the min-stamp victim scan fuse into one pass over
-    // the set's packed tag/stamp entries (RRPV bookkeeping is dead
-    // under these policies and skipped).
+    // post once per run. Under LRU/FIFO, the tag scan and the
+    // min-stamp victim scan fuse into one pass over the set's packed
+    // tag/stamp entries (RRPV bookkeeping is dead under these
+    // policies and skipped). Live pins take a second fused loop, so
+    // this one stays free of per-way pin checks.
     const bool write = (op == MemOp::Write);
-    const bool fused = (cfg.replacement == ReplacementPolicy::Lru ||
-                        cfg.replacement == ReplacementPolicy::Fifo) &&
-                       pinnedLines == 0;
+    const bool fused = cfg.replacement == ReplacementPolicy::Lru ||
+                       cfg.replacement == ReplacementPolicy::Fifo;
+    if (fused && pinnedLines != 0) {
+        accessRunPinnedFunctional(line_addr, lines, write, cls);
+        return;
+    }
     const bool promote = cfg.replacement != ReplacementPolicy::Fifo;
     std::uint32_t hit_lines = 0;
     for (std::uint32_t i = 0; i < lines;
@@ -691,6 +695,78 @@ Cache::accessRunFunctional(Addr line_addr, std::uint32_t lines,
         }
         const std::size_t victim = base + bestw;
         installAt(victim, line_addr, false, cls);
+        lastFunctionalAddr = line_addr;
+        lastFunctionalIndex = victim;
+        if (write)
+            lineMeta[victim] |= kLineDirty;
+    }
+    statCounters.hits += hit_lines;
+    statCounters.misses += lines - hit_lines;
+    if (hit_lines != lines)
+        functionalTraffic.add(MemOp::Read, cls, lines - hit_lines);
+}
+
+void
+Cache::accessRunPinnedFunctional(Addr line_addr, std::uint32_t lines,
+                                 bool write, TrafficClass cls)
+{
+    // accessRunFunctional's fused LRU/FIFO pass with pinned ways
+    // ranked behind every stamp, so the min scan picks fill()'s
+    // victim: the first least-recent unpinned way. A set left with
+    // no candidate takes fill() itself (its all-pinned fallback).
+    const bool promote = cfg.replacement != ReplacementPolicy::Fifo;
+    std::uint32_t hit_lines = 0;
+    for (std::uint32_t i = 0; i < lines;
+         ++i, line_addr += kCachelineBytes) {
+        if (line_addr == lastFunctionalAddr) {
+            ++hit_lines;
+            if (write)
+                lineMeta[lastFunctionalIndex] |= kLineDirty;
+            continue;
+        }
+        const std::size_t base =
+            static_cast<std::size_t>(setIndex(line_addr)) * cfg.ways;
+        const std::uint64_t tag = tagOf(line_addr);
+        SGCN_ASSERT(tag < kInvalidTag, "line address past the "
+                    "32-bit tag range: ", line_addr);
+        std::uint64_t *entries = lineTagUse.data() + base;
+        const std::uint8_t *meta = lineMeta.data() + base;
+        std::size_t hitw = kNoLine;
+        unsigned bestw = cfg.ways;
+        std::uint32_t bestuse = ~0u;
+        for (unsigned w = 0; w < cfg.ways; ++w) {
+            const std::uint64_t entry = entries[w];
+            if (entryTag(entry) == tag) {
+                hitw = w;
+                break;
+            }
+            // Branch-free: pinned ways sit at scattered positions, so
+            // a skip branch here mispredicts on most sets.
+            const std::uint32_t pinned = 0u - static_cast<std::uint32_t>(
+                (meta[w] & kLinePinned) != 0);
+            const std::uint32_t use = entryUse(entry) | pinned;
+            if (use < bestuse) {
+                bestuse = use;
+                bestw = w;
+            }
+        }
+        if (hitw != kNoLine) {
+            ++hit_lines;
+            if (promote) {
+                entries[hitw] = makeEntry(
+                    static_cast<std::uint32_t>(tag), nextUseStamp());
+            }
+            lastFunctionalAddr = line_addr;
+            lastFunctionalIndex = base + hitw;
+            if (write)
+                lineMeta[base + hitw] |= kLineDirty;
+            continue;
+        }
+        std::size_t victim = base + bestw;
+        if (bestw == cfg.ways)
+            victim = fill(line_addr, false, cls);
+        else
+            installAt(victim, line_addr, false, cls);
         lastFunctionalAddr = line_addr;
         lastFunctionalIndex = victim;
         if (write)

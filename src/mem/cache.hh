@@ -158,11 +158,11 @@ class Cache
 
     /**
      * Functional access of @p lines consecutive lines starting at
-     * @p line_addr — one plan run. Under LRU/FIFO with no live pins
-     * (the overwhelmingly common configuration) each line resolves
-     * in a single fused pass that scans for the tag and tracks the
-     * min-stamp victim at once; statistics post per run, not per
-     * line. Bit-identical to accessFunctional per line.
+     * @p line_addr — one plan run. Under LRU/FIFO (with or without
+     * live pins) each line resolves in a single fused pass that
+     * scans for the tag and tracks the min-stamp victim at once;
+     * statistics post per run, not per line. Bit-identical to
+     * accessFunctional per line.
      */
     void accessRunFunctional(Addr line_addr, std::uint32_t lines,
                              MemOp op, TrafficClass cls);
@@ -302,6 +302,12 @@ class Cache
      */
     void installAt(std::size_t victim, Addr line_addr, bool timing,
                    TrafficClass cls);
+
+    /** accessRunFunctional under LRU/FIFO while pins are live (the
+     *  EnGN DAVC case): the same fused scan, with pinned ways chosen
+     *  as victims only when the whole set is pinned, as in fill(). */
+    void accessRunPinnedFunctional(Addr line_addr, std::uint32_t lines,
+                                   bool write, TrafficClass cls);
 
     /** Start servicing a miss: allocate MSHR and fetch from DRAM. */
     void startMiss(const MemRequest &request, MemCallback done);

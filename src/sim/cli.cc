@@ -1,6 +1,7 @@
 #include "sim/cli.hh"
 
 #include <cstdlib>
+#include <limits>
 
 #include "sim/logging.hh"
 
@@ -53,6 +54,18 @@ Cli::getInt(const std::string &name, std::int64_t fallback) const
     if (end == it->second.c_str() || *end != '\0')
         fatal("bad integer flag --", name, "=", it->second);
     return value;
+}
+
+unsigned
+Cli::getCount(const std::string &name, unsigned fallback,
+              unsigned min) const
+{
+    const std::int64_t value = getInt(name, fallback);
+    if (value < min || value > std::numeric_limits<unsigned>::max()) {
+        fatal("bad --", name, " value '", getString(name, ""),
+              "' (expected an integer >= ", min, ")");
+    }
+    return static_cast<unsigned>(value);
 }
 
 double

@@ -36,6 +36,14 @@ class Cli
     std::int64_t getInt(const std::string &name,
                         std::int64_t fallback) const;
 
+    /**
+     * Count-valued flag (--jobs, --chips, ...), or @p fallback.
+     * fatal() unless the value is an integer in [@p min, UINT_MAX],
+     * so a negative count cannot wrap to a huge unsigned one.
+     */
+    unsigned getCount(const std::string &name, unsigned fallback,
+                      unsigned min) const;
+
     /** Double value of a flag, or @p fallback. */
     double getDouble(const std::string &name, double fallback) const;
 

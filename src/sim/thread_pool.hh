@@ -1,95 +1,54 @@
 /**
  * @file
- * Bounded fixed-size thread pool for fanning independent simulations
- * out across cores (parallel runAll, bench sweeps).
+ * One process-wide, work-helping pool behind every parallel fan-out
+ * (sweeps over personalities, the layers of one network, the chips
+ * of a sharded layer, served batches, graph preprocessing).
  *
- * Deliberately work-stealing-free: one locked FIFO feeds N workers.
- * Sweep jobs are whole-layer or whole-network simulations — seconds
- * each — so queue contention is irrelevant, and the simple design
- * keeps results deterministic: callers hold one future per input
- * index and merge on their own thread in input order.
+ * parallelFor() posts its indices as a batch with an atomic claim
+ * cursor. The calling thread claims indices itself; pool workers
+ * join until the batch has @p jobs participants. Once the cursor is
+ * exhausted the caller helps other open batches at its own nesting
+ * depth or deeper until its batch finishes, so nested fan-outs (a
+ * sweep cell fanning out its layers) spawn no threads and never wait
+ * on a straggler while work is left. Free workers join the shallowest
+ * open batch first, so outer work (a new sweep cell, a new served
+ * batch) goes before the layers of cells already running. Workers
+ * are created lazily, up to the largest @p jobs ever requested minus
+ * the caller, and live for the rest of the process.
+ *
+ * Because a waiting caller runs other indices on top of its own
+ * stack, an index must not block on work that only a paused frame
+ * below it could finish — e.g. a KeyedCache entry whose computation
+ * itself fans out and can be looked up from a sibling index.
+ *
+ * Results stay deterministic: callers write per-index slots and
+ * merge in index order on their own thread, and a failing fan-out
+ * rethrows the lowest-index exception, as the serial loop would.
  */
 
 #ifndef SGCN_SIM_THREAD_POOL_HH
 #define SGCN_SIM_THREAD_POOL_HH
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <type_traits>
-#include <utility>
-#include <vector>
 
 namespace sgcn
 {
 
-/** Fixed set of worker threads draining a single task queue. */
-class ThreadPool
-{
-  public:
-    /** Spawn @p threads workers (clamped to at least one). */
-    explicit ThreadPool(unsigned threads);
+/** std::thread::hardware_concurrency with a fallback of 1. */
+unsigned hardwareJobs();
 
-    /** Drains every queued task, then joins the workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Number of worker threads. */
-    unsigned
-    size() const
-    {
-        return static_cast<unsigned>(workers.size());
-    }
-
-    /**
-     * Enqueue @p fn; the returned future completes with its result —
-     * or its exception — once a worker has run it.
-     */
-    template <typename F>
-    std::future<std::invoke_result_t<F>>
-    submit(F fn)
-    {
-        using Result = std::invoke_result_t<F>;
-        auto task = std::make_shared<std::packaged_task<Result()>>(
-            std::move(fn));
-        std::future<Result> result = task->get_future();
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            tasks.push([task] { (*task)(); });
-        }
-        available.notify_one();
-        return result;
-    }
-
-    /** A `jobs` knob value resolved to a thread count: 0 means "all
-     *  hardware threads". */
-    static unsigned resolveJobs(unsigned jobs);
-
-    /** std::thread::hardware_concurrency with a fallback of 1. */
-    static unsigned hardwareJobs();
-
-  private:
-    void workerLoop();
-
-    std::mutex mutex;
-    std::condition_variable available;
-    std::queue<std::function<void()>> tasks;
-    bool stopping = false;
-    std::vector<std::thread> workers;
-};
+/** A `jobs` knob value resolved to a thread count: 0 means "all
+ *  hardware threads". */
+unsigned resolveJobs(unsigned jobs);
 
 /**
- * Run fn(0), ..., fn(count - 1) across up to @p jobs threads; inline
- * on the caller thread when either is 1 (or @p jobs resolves to 1).
- * Blocks until every index ran. Exceptions are collected per index
- * and the lowest-index one is rethrown, so failures are as
- * deterministic as the serial loop's.
+ * Run fn(0), ..., fn(count - 1) with at most @p jobs of them in
+ * flight at once; inline on the caller thread when either is 1 (or
+ * @p jobs resolves to 1). Blocks until every index ran. Safe to
+ * nest: an inner call from inside @p fn shares the same workers.
+ * Exceptions are collected and the lowest-index one is rethrown, so
+ * failures are as deterministic as the serial loop's.
  */
 void parallelFor(unsigned jobs, std::size_t count,
                  const std::function<void(std::size_t)> &fn);

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/dataflow/registry.hh"
@@ -325,17 +326,32 @@ TEST(Lookups, RegisteredDataflowsResolve)
 // sgcn_sim exit codes (the CLI boundary keeps fatal/usage exits)
 // --------------------------------------------------------------
 
-/** Run the sgcn_sim binary (cwd = build dir under ctest); -1 when it
- *  is not where ctest puts it (manual runs from elsewhere). */
+/** Exit code and stderr of `./<binary> <args>` (cwd = build dir),
+ *  or exit code -1 when the binary was not built there. */
+std::pair<int, std::string>
+runCapturingStderr(const std::string &binary, const std::string &args)
+{
+    if (!std::ifstream("./" + binary).good())
+        return {-1, ""};
+    const std::string cmd =
+        "./" + binary + " " + args + " 2>&1 >/dev/null";
+    FILE *pipe = popen(cmd.c_str(), "r");
+    if (pipe == nullptr)
+        return {-2, ""};
+    std::string err;
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr)
+        err += buf;
+    const int rc = pclose(pipe);
+    return {WIFEXITED(rc) ? WEXITSTATUS(rc) : -2, err};
+}
+
+/** Exit code of `./sgcn_sim <args>`; -1 when it is not where ctest
+ *  puts it (manual runs from elsewhere). */
 int
 runSim(const std::string &args)
 {
-    if (!std::ifstream("./sgcn_sim").good())
-        return -1;
-    const std::string cmd =
-        "./sgcn_sim " + args + " >/dev/null 2>&1";
-    const int rc = std::system(cmd.c_str());
-    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -2;
+    return runCapturingStderr("sgcn_sim", args).first;
 }
 
 TEST(SimCli, ExitCodesDistinguishUsageFromRuntimeErrors)
@@ -352,6 +368,41 @@ TEST(SimCli, ExitCodesDistinguishUsageFromRuntimeErrors)
 
     // Bad flag values hit the CLI-boundary fatal(): exit 1.
     EXPECT_EQ(runSim("datasets --scale banana"), 1);
+}
+
+TEST(SimCli, NegativeCountsAreRejectedNotWrapped)
+{
+    // A negative --jobs used to wrap to 4294967295 workers; counts
+    // that must be positive reject zero as well. sgcn_sim and the
+    // bench harnesses share one check: same message, same exit 1.
+    const std::vector<std::pair<std::string, std::string>> cases{
+        {"--jobs -1", "fatal: bad --jobs value '-1' (expected an "
+                      "integer >= 0)\n"},
+        {"--chips -2", "fatal: bad --chips value '-2' (expected an "
+                       "integer >= 1)\n"},
+        {"--sampled 0", "fatal: bad --sampled value '0' (expected an "
+                        "integer >= 1)\n"},
+        {"--jobs 4294967296", "fatal: bad --jobs value '4294967296' "
+                              "(expected an integer >= 0)\n"},
+    };
+    bool ran = false;
+    for (const auto &[flag, message] : cases) {
+        for (const auto &[binary, args] :
+             std::vector<std::pair<std::string, std::string>>{
+                 {"sgcn_sim", "run --dataset CR --accels SGCN "},
+                 {"fig11_performance", "--datasets CR "}}) {
+            const auto [code, err] = runCapturingStderr(binary,
+                                                        args + flag);
+            if (code == -1)
+                continue;
+            ran = true;
+            SCOPED_TRACE(binary + " " + flag);
+            EXPECT_EQ(code, 1);
+            EXPECT_EQ(err, message);
+        }
+    }
+    if (!ran)
+        GTEST_SKIP() << "no CLI binary in the working directory";
 }
 
 } // namespace

@@ -3,8 +3,9 @@
  * The parallel sweep path: runAll with jobs > 1 must be bit-identical
  * to the serial path in identical order, concurrent runNetwork calls
  * must not race (this binary carries the "thread" ctest label and is
- * the target of the ThreadSanitizer CI job), and the thread pool
- * itself must honour its ordering/exception contract.
+ * the target of the ThreadSanitizer CI job), and the shared pool
+ * behind parallelFor must honour its coverage, concurrency-bound,
+ * nesting and exception contract.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "accel/personalities.hh"
@@ -106,33 +109,135 @@ TEST_F(ParallelRunner, MixedPersonalitiesUnderConcurrency)
     }
 }
 
+TEST_F(ParallelRunner, LayerFanOutIsBitIdenticalAcrossJobs)
+{
+    // One config per call, so the only fan-out is over the layers of
+    // that network. No personality (all three dataflows, EnGN's
+    // pinned cache) in either mode may depend on it.
+    const Dataset citeseer = testfx::citeseer();
+    const Dataset *datasets[] = {&cora, &citeseer};
+    for (const Dataset *dataset : datasets) {
+        for (ExecutionMode mode :
+             {ExecutionMode::Fast, ExecutionMode::Timing}) {
+            RunOptions serial = opts;
+            serial.mode = mode;
+            RunOptions fanned = serial;
+            fanned.jobs = 8;
+            for (const AccelConfig &config : allPersonalities()) {
+                SCOPED_TRACE(config.name + " on " +
+                             dataset->spec.abbrev);
+                expectRunIdentical(
+                    runNetwork(config, *dataset, net, serial),
+                    runNetwork(config, *dataset, net, fanned));
+            }
+        }
+    }
+}
+
+/** Concurrency level of a region, and the highest it reached. */
+struct InFlight
+{
+    std::atomic<int> now{0};
+    std::atomic<int> peak{0};
+
+    void
+    enter()
+    {
+        const int level = ++now;
+        int seen = peak.load();
+        while (seen < level && !peak.compare_exchange_weak(seen, level)) {
+        }
+    }
+
+    void leave() { --now; }
+};
+
 TEST(ThreadPool, ResolvesJobsKnob)
 {
-    EXPECT_EQ(ThreadPool::resolveJobs(1), 1u);
-    EXPECT_EQ(ThreadPool::resolveJobs(7), 7u);
-    EXPECT_EQ(ThreadPool::resolveJobs(0), ThreadPool::hardwareJobs());
-    EXPECT_GE(ThreadPool::hardwareJobs(), 1u);
+    EXPECT_EQ(resolveJobs(1), 1u);
+    EXPECT_EQ(resolveJobs(7), 7u);
+    EXPECT_EQ(resolveJobs(0), hardwareJobs());
+    EXPECT_GE(hardwareJobs(), 1u);
 }
 
-TEST(ThreadPool, SubmitReturnsResultsPerFuture)
+TEST(ThreadPool, NestedParallelForCoversEveryIndexOnce)
 {
-    ThreadPool pool(4);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 64; ++i)
-        futures.push_back(pool.submit([i] { return i * i; }));
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
+    constexpr std::size_t kOuter = 12;
+    constexpr std::size_t kInner = 40;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    parallelFor(4, kOuter, [&](std::size_t i) {
+        parallelFor(3, kInner,
+                    [&](std::size_t j) { ++hits[i * kInner + j]; });
+    });
+    for (std::size_t k = 0; k < hits.size(); ++k)
+        EXPECT_EQ(hits[k].load(), 1) << "index " << k;
 }
 
-TEST(ThreadPool, DestructorDrainsQueuedTasks)
+TEST(ThreadPool, InFlightNeverExceedsJobs)
 {
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 32; ++i)
-            pool.submit([&ran] { ++ran; });
+    // Grow the shared pool past the bound under test first, so the
+    // bound must come from the batch's jobs, not the worker count.
+    parallelFor(8, 8, [](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    });
+
+    InFlight flat;
+    parallelFor(3, 48, [&](std::size_t) {
+        flat.enter();
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        flat.leave();
+    });
+    EXPECT_LE(flat.peak.load(), 3);
+
+    // Nested: each inner batch on its own, and the whole tree, stay
+    // within the jobs requested.
+    constexpr std::size_t kOuter = 6;
+    std::vector<InFlight> inner(kOuter);
+    InFlight total;
+    parallelFor(2, kOuter, [&](std::size_t i) {
+        parallelFor(2, 8, [&](std::size_t) {
+            inner[i].enter();
+            total.enter();
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            total.leave();
+            inner[i].leave();
+        });
+    });
+    for (const InFlight &batch : inner)
+        EXPECT_LE(batch.peak.load(), 2);
+    EXPECT_LE(total.peak.load(), 2 * 2);
+}
+
+TEST(ThreadPool, DepthThreeNestingFinishes)
+{
+    std::atomic<int> leaves{0};
+    parallelFor(2, 4, [&](std::size_t) {
+        parallelFor(2, 4, [&](std::size_t) {
+            parallelFor(2, 4, [&](std::size_t) { ++leaves; });
+        });
+    });
+    EXPECT_EQ(leaves.load(), 4 * 4 * 4);
+}
+
+TEST(ThreadPool, NestedFailureRethrowsLowestIndex)
+{
+    for (unsigned jobs : {1u, 4u}) {
+        try {
+            parallelFor(jobs, 8, [&](std::size_t i) {
+                parallelFor(jobs, 8, [&](std::size_t j) {
+                    if ((i == 2 && (j == 5 || j == 7)) ||
+                        (i == 6 && j == 1)) {
+                        throw std::runtime_error(
+                            "boom " + std::to_string(i) + "." +
+                            std::to_string(j));
+                    }
+                });
+            });
+            FAIL() << "expected failure with jobs=" << jobs;
+        } catch (const std::runtime_error &error) {
+            EXPECT_STREQ(error.what(), "boom 2.5");
+        }
     }
-    EXPECT_EQ(ran.load(), 32);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
@@ -169,18 +274,13 @@ TEST(ThreadPool, OverlapsSleepingTasks)
     // (true even on one hardware thread — sleeps overlap). Counting
     // concurrency instead of wall clock keeps this deterministic on
     // loaded CI runners.
-    std::atomic<int> in_flight{0};
-    std::atomic<int> max_in_flight{0};
+    InFlight tasks;
     parallelFor(4, 4, [&](std::size_t) {
-        const int now = ++in_flight;
-        int seen = max_in_flight.load();
-        while (seen < now &&
-               !max_in_flight.compare_exchange_weak(seen, now)) {
-        }
+        tasks.enter();
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        --in_flight;
+        tasks.leave();
     });
-    EXPECT_GE(max_in_flight.load(), 2);
+    EXPECT_GE(tasks.peak.load(), 2);
 }
 
 } // namespace

@@ -168,6 +168,84 @@ TEST_P(PolicySweep, PinningSurvivesEveryPolicy)
     EXPECT_TRUE(h.touch(0));
 }
 
+void
+expectSameCounters(const Cache &runs, const Cache &lines)
+{
+    EXPECT_EQ(runs.stats().hits, lines.stats().hits);
+    EXPECT_EQ(runs.stats().misses, lines.stats().misses);
+    EXPECT_EQ(runs.stats().evictions, lines.stats().evictions);
+    EXPECT_EQ(runs.stats().writebacks, lines.stats().writebacks);
+    for (unsigned c = 0; c < kNumTrafficClasses; ++c) {
+        EXPECT_EQ(runs.functionalDramTraffic().readLines[c],
+                  lines.functionalDramTraffic().readLines[c]);
+        EXPECT_EQ(runs.functionalDramTraffic().writeLines[c],
+                  lines.functionalDramTraffic().writeLines[c]);
+    }
+}
+
+/**
+ * The fused run path (accessRunFunctional, one tag+victim pass per
+ * line, statistics per run) against accessFunctional called once
+ * per line: random runs of reads and writes through an 8-way cache
+ * several times over capacity, optionally with live pins (pin()
+ * caps each set at half its ways), must leave identical counters
+ * and identical residency.
+ */
+TEST_P(PolicySweep, FusedRunsMatchPerLineAccesses)
+{
+    for (bool pins : {false, true}) {
+        SCOPED_TRACE(pins ? "with pins" : "without pins");
+        PolicyHarness runs(GetParam(), 8, 16 * 1024);
+        PolicyHarness lines(GetParam(), 8, 16 * 1024);
+        constexpr std::uint64_t kLines = 1024;
+        Rng rng(pins ? 41 : 43);
+        for (int op = 0; op < 6000; ++op) {
+            if (pins && op % 50 == 0) {
+                if (op % 1000 == 0) {
+                    runs.cache->unpinAll();
+                    lines.cache->unpinAll();
+                }
+                for (int p = 0; p < 8; ++p) {
+                    const Addr line =
+                        rng.uniformInt(kLines) * kCachelineBytes;
+                    ASSERT_EQ(
+                        runs.cache->pin(line, TrafficClass::FeatureIn),
+                        lines.cache->pin(line, TrafficClass::FeatureIn));
+                }
+            }
+            const Addr start = rng.uniformInt(kLines) * kCachelineBytes;
+            const auto count =
+                static_cast<std::uint32_t>(1 + rng.uniformInt(6));
+            const MemOp mem_op =
+                rng.bernoulli(0.3) ? MemOp::Write : MemOp::Read;
+            // Half the runs repeat at once (the read-modify-write
+            // psum pattern the duplicate-access memo serves).
+            const int repeats = rng.bernoulli(0.5) ? 2 : 1;
+            for (int r = 0; r < repeats; ++r) {
+                runs.cache->accessRunFunctional(start, count, mem_op,
+                                                TrafficClass::PartialSum);
+                for (std::uint32_t i = 0; i < count; ++i) {
+                    lines.cache->accessFunctional(MemRequest{
+                        start + i * kCachelineBytes, mem_op,
+                        TrafficClass::PartialSum});
+                }
+            }
+        }
+        expectSameCounters(*runs.cache, *lines.cache);
+
+        // Residency: a follow-up sweep over every line hits in one
+        // cache exactly where it hits in the other.
+        for (std::uint64_t l = 0; l < kLines; ++l) {
+            ASSERT_EQ(runs.touch(l * kCachelineBytes),
+                      lines.touch(l * kCachelineBytes))
+                << "line " << l;
+        }
+        runs.cache->flush();
+        lines.cache->flush();
+        expectSameCounters(*runs.cache, *lines.cache);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicySweep,
     ::testing::Values(ReplacementPolicy::Lru, ReplacementPolicy::Fifo,

@@ -58,14 +58,12 @@ runOptions(const Cli &cli)
         fatal("bad --mode '", mode, "' (expected fast|timing)");
     opts.mode = mode == "timing" ? ExecutionMode::Timing
                                  : ExecutionMode::Fast;
-    opts.sampledIntermediateLayers =
-        static_cast<unsigned>(cli.getInt("sampled", 4));
+    opts.sampledIntermediateLayers = cli.getCount("sampled", 4, 1);
     opts.includeInputLayer = cli.getBool("input-layer", true);
     applyPipelineFlag(opts, cli.has("pipeline"),
                       cli.getString("pipeline", ""));
-    opts.jobs = static_cast<unsigned>(
-        cli.getInt("jobs", ThreadPool::hardwareJobs()));
-    opts.chips = static_cast<unsigned>(cli.getInt("chips", 1));
+    opts.jobs = cli.getCount("jobs", hardwareJobs(), 0);
+    opts.chips = cli.getCount("chips", 1, 1);
     opts.partitionPolicy = partitionPolicyByName(cli.getString(
         "partition", partitionPolicyName(opts.partitionPolicy)));
     if (cli.has("link"))
@@ -86,7 +84,7 @@ NetworkSpec
 networkSpec(const Cli &cli)
 {
     NetworkSpec net;
-    net.layers = static_cast<unsigned>(cli.getInt("layers", 28));
+    net.layers = cli.getCount("layers", 28, 2);
     net.hidden = static_cast<unsigned>(cli.getInt("hidden", 256));
     net.residual = cli.getBool("residual", true);
     const std::string agg = cli.getString("agg", "gcn");
