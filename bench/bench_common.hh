@@ -15,8 +15,8 @@
  *                        serial isolated-layer extrapolation). =tile
  *                        gates consumers on per-tile output
  *                        availability instead of whole-layer drains.
- *   --chips N            shard each run over N chips (default 1,
- *                        the monolithic bit-identical path)
+ *   --chips N            shard each run over N chips (default 1: one
+ *                        shard holding the whole graph)
  *   --partition contiguous|edge-balanced
  *                        multi-chip vertex partitioner policy
  *   --link pcie4|noc     interconnect preset for halo exchanges
@@ -25,6 +25,14 @@
  *                        run can be replayed exactly
  *   --degraded-mode repartition|fail-fast
  *                        chip-fail reaction (default repartition)
+ * plus the extra flags its main() passes to BenchOptions::fromCli.
+ *
+ * The flags are parsed by the library parser sgcn_sim uses
+ * (serve/cli_options.hh), equally strictly: a flag the bench does not
+ * accept exits 2 naming it and the accepted flags (--datsets CR never
+ * silently sweeps all nine datasets), and a bad value — a negative
+ * or out-of-range count, an unknown --mode, a non-numeric or
+ * non-positive --scale / SGCN_BENCH_SCALE — exits 1.
  */
 
 #ifndef SGCN_BENCH_BENCH_COMMON_HH
@@ -37,7 +45,7 @@
 
 #include "accel/personalities.hh"
 #include "accel/runner.hh"
-#include "serve/serve.hh"
+#include "serve/cli_options.hh"
 #include "sim/cli.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -55,35 +63,20 @@ struct BenchOptions
     double scale = 1.0;
     std::vector<DatasetSpec> datasets;
 
+    /** Parse the shared flags plus the bench-specific @p extra
+     *  ones the caller reads itself; exit 2 on any other flag. */
     static BenchOptions
-    fromCli(const Cli &cli)
+    fromCli(const Cli &cli, std::vector<std::string> extra = {})
     {
+        for (const std::string &flag : runFlags())
+            extra.push_back(flag);
+        for (const char *flag : {"layers", "scale", "datasets"})
+            extra.push_back(flag);
+        cli.requireKnownFlags(extra, cli.program());
+
         BenchOptions options;
-        options.run.mode = cli.getString("mode", "fast") == "timing"
-                               ? ExecutionMode::Timing
-                               : ExecutionMode::Fast;
-        options.run.sampledIntermediateLayers =
-            cli.getCount("sampled", 4, 1);
+        options.run = runOptionsFromCli(cli);
         options.net.layers = cli.getCount("layers", 28, 2);
-        options.run.jobs = cli.getCount("jobs", hardwareJobs(), 0);
-        applyPipelineFlag(options.run, cli.has("pipeline"),
-                          cli.getString("pipeline", ""));
-        options.run.chips = cli.getCount("chips", 1, 1);
-        options.run.partitionPolicy = partitionPolicyByName(
-            cli.getString("partition",
-                          partitionPolicyName(
-                              options.run.partitionPolicy)));
-        if (cli.has("link")) {
-            options.run.link =
-                linkByName(cli.getString("link", "pcie4"));
-        }
-        options.run.faults =
-            FaultPlan::parse(cli.getString("faults", "")).orFatal();
-        options.run.degradedMode =
-            parseDegradedMode(
-                cli.getString("degraded-mode",
-                              degradedModeName(options.run.degradedMode)))
-                .orFatal();
         options.scale = cli.scale();
 
         const std::string list = cli.getString("datasets", "");
@@ -97,36 +90,17 @@ struct BenchOptions
         }
         return options;
     }
-};
 
-/** ServeOptions from the shared serving flags (--rate, --requests,
- *  --batch-max, --linger, --arrival poisson|fixed, --hops, --fanout,
- *  --serve-seed), defaulting like `sgcn_sim serve`. */
-inline ServeOptions
-serveOptionsFromCli(const Cli &cli)
-{
-    ServeOptions serve;
-    serve.offeredQps = cli.getDouble("rate", serve.offeredQps);
-    serve.requests = static_cast<unsigned>(
-        cli.getInt("requests", serve.requests));
-    serve.maxBatch = static_cast<unsigned>(
-        cli.getInt("batch-max", serve.maxBatch));
-    serve.maxLingerCycles = static_cast<Cycle>(cli.getInt(
-        "linger", static_cast<std::int64_t>(serve.maxLingerCycles)));
-    serve.sample.hops = static_cast<unsigned>(
-        cli.getInt("hops", serve.sample.hops));
-    serve.sample.fanout = static_cast<unsigned>(
-        cli.getInt("fanout", serve.sample.fanout));
-    serve.sample.seed = static_cast<std::uint64_t>(cli.getInt(
-        "serve-seed", static_cast<std::int64_t>(serve.sample.seed)));
-    const std::string arrival = cli.getString("arrival", "poisson");
-    if (arrival == "fixed")
-        serve.poisson = false;
-    else if (arrival != "poisson")
-        fatal("bad --arrival '", arrival,
-              "' (expected poisson|fixed)");
-    return serve;
-}
+    /** --datasets when given, else the one --dataset (default
+     *  @p fallback) of a harness whose figure has a single subject. */
+    std::vector<DatasetSpec>
+    datasetsOr(const Cli &cli, const char *fallback) const
+    {
+        if (cli.has("datasets"))
+            return datasets;
+        return {datasetByAbbrev(cli.getString("dataset", fallback))};
+    }
+};
 
 /** Print the standard harness banner. */
 inline void
@@ -187,13 +161,6 @@ personalityIndex(const std::vector<AccelConfig> &configs,
             return i;
     }
     fatal("no personality named ", name, " in the sweep set");
-}
-
-/** Geomean over per-dataset speedups, ignoring non-positives. */
-inline double
-geomeanSpeedup(const std::vector<double> &speedups)
-{
-    return geomean(speedups);
 }
 
 } // namespace sgcn::bench

@@ -23,7 +23,7 @@ int
 main(int argc, char **argv)
 {
     Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    BenchOptions options = BenchOptions::fromCli(cli, {"pipeline-compare"});
     const bool compare = cli.getBool("pipeline-compare", false);
     if (compare) {
         // The comparison needs the pipelined timeline; per-tile mode
@@ -89,7 +89,7 @@ main(int argc, char **argv)
 
     std::vector<std::string> geo_row{"Geomean"};
     for (auto &series : speedups)
-        geo_row.push_back(Table::num(geomeanSpeedup(series), 2));
+        geo_row.push_back(Table::num(geomean(series), 2));
     table.row(geo_row);
     table.print();
 

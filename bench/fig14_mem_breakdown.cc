@@ -18,7 +18,7 @@ int
 main(int argc, char **argv)
 {
     Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    BenchOptions options = BenchOptions::fromCli(cli, {"dataset"});
     banner("Fig. 14 — off-chip access breakdown (Reddit)", options);
 
     const std::string abbrev = cli.getString("dataset", "RD");

@@ -122,17 +122,13 @@ int
 main(int argc, char **argv)
 {
     Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    BenchOptions options = BenchOptions::fromCli(cli, {"dataset"});
     banner("Fig. 18 — engine scalability and memory type", options);
 
     // --datasets sweeps several; the legacy single --dataset flag
     // (default RD, the paper's figure subject) still works.
-    std::vector<DatasetSpec> specs;
-    if (cli.has("datasets")) {
-        specs = options.datasets;
-    } else {
-        specs = {datasetByAbbrev(cli.getString("dataset", "RD"))};
-    }
+    const std::vector<DatasetSpec> specs =
+        options.datasetsOr(cli, "RD");
 
     for (const DatasetSpec &spec : specs) {
         if (options.run.chips > 1)

@@ -160,19 +160,15 @@ int
 main(int argc, char **argv)
 {
     Cli cli(argc, argv);
-    BenchOptions options = BenchOptions::fromCli(cli);
+    BenchOptions options = BenchOptions::fromCli(cli, {"dataset"});
     // Chip-targeted faults need a sharded run.
     if (options.run.chips < 2)
         options.run.chips = 4;
     banner("Fig. 20 — fault injection and graceful degradation",
            options);
 
-    std::vector<DatasetSpec> specs;
-    if (cli.has("datasets")) {
-        specs = options.datasets;
-    } else {
-        specs = {datasetByAbbrev(cli.getString("dataset", "CR"))};
-    }
+    const std::vector<DatasetSpec> specs =
+        options.datasetsOr(cli, "CR");
 
     const std::vector<AccelConfig> configs = allPersonalities();
     const bool replay = options.run.faults.active();

@@ -147,7 +147,9 @@ int
 main(int argc, char **argv)
 {
     Cli cli(argc, argv);
-    const BenchOptions options = BenchOptions::fromCli(cli);
+    std::vector<std::string> flags = serveFlags();
+    flags.push_back("dataset");
+    const BenchOptions options = BenchOptions::fromCli(cli, flags);
     const ServeOptions serve = serveOptionsFromCli(cli);
     banner("Fig. 21 — serving-trace latency under load", options);
     std::printf("trace: %u requests, %s arrivals @ %.0f qps, "
@@ -160,12 +162,8 @@ main(int argc, char **argv)
                 serve.sample.hops, serve.sample.fanout,
                 static_cast<unsigned long long>(serve.sample.seed));
 
-    std::vector<DatasetSpec> specs;
-    if (cli.has("datasets")) {
-        specs = options.datasets;
-    } else {
-        specs = {datasetByAbbrev(cli.getString("dataset", "CR"))};
-    }
+    const std::vector<DatasetSpec> specs =
+        options.datasetsOr(cli, "CR");
 
     const std::vector<AccelConfig> configs = allPersonalities();
     const std::size_t sgcn = personalityIndex(configs, "SGCN");

@@ -11,8 +11,7 @@
 #include <cstdio>
 
 #include "accel/personalities.hh"
-#include "accel/runner.hh"
-#include "sim/cli.hh"
+#include "serve/cli_options.hh"
 #include "sim/table.hh"
 
 using namespace sgcn;
@@ -21,14 +20,13 @@ int
 main(int argc, char **argv)
 {
     Cli cli(argc, argv);
+    cli.requireKnownFlags({"dataset", "layers", "mode", "sampled",
+                           "scale"},
+                          cli.program());
     const std::string abbrev = cli.getString("dataset", "DB");
     NetworkSpec net;
     net.layers = cli.getCount("layers", 28, 2);
-    RunOptions opts;
-    opts.mode = cli.getString("mode", "fast") == "timing"
-                    ? ExecutionMode::Timing
-                    : ExecutionMode::Fast;
-    opts.sampledIntermediateLayers = cli.getCount("sampled", 4, 1);
+    const RunOptions opts = runOptionsFromCli(cli);
 
     const Dataset dataset =
         instantiateDataset(datasetByAbbrev(abbrev), cli.scale());

@@ -15,8 +15,7 @@
 
 #include "accel/personalities.hh"
 #include "accel/report.hh"
-#include "accel/runner.hh"
-#include "sim/cli.hh"
+#include "serve/cli_options.hh"
 #include "sim/table.hh"
 
 using namespace sgcn;
@@ -61,11 +60,12 @@ int
 main(int argc, char **argv)
 {
     Cli cli(argc, argv);
+    cli.requireKnownFlags({"dataset", "layers", "sampled", "scale"},
+                          cli.program());
     const std::string abbrev = cli.getString("dataset", "FK");
     NetworkSpec net;
     net.layers = cli.getCount("layers", 28, 2);
-    RunOptions opts;
-    opts.sampledIntermediateLayers = cli.getCount("sampled", 4, 1);
+    const RunOptions opts = runOptionsFromCli(cli);
 
     const Dataset dataset =
         instantiateDataset(datasetByAbbrev(abbrev), cli.scale());

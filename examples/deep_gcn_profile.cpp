@@ -14,7 +14,7 @@
 #include "accel/layer_engine.hh"
 #include "accel/personalities.hh"
 #include "accel/workload.hh"
-#include "sim/cli.hh"
+#include "serve/cli_options.hh"
 #include "sim/table.hh"
 
 using namespace sgcn;
@@ -23,13 +23,12 @@ int
 main(int argc, char **argv)
 {
     Cli cli(argc, argv);
+    cli.requireKnownFlags({"dataset", "layers", "mode", "scale"},
+                          cli.program());
     const std::string abbrev = cli.getString("dataset", "PM");
     NetworkSpec net;
     net.layers = cli.getCount("layers", 28, 2);
-    const ExecutionMode mode =
-        cli.getString("mode", "fast") == "timing"
-            ? ExecutionMode::Timing
-            : ExecutionMode::Fast;
+    const ExecutionMode mode = runOptionsFromCli(cli).mode;
 
     const Dataset dataset =
         instantiateDataset(datasetByAbbrev(abbrev), cli.scale());

@@ -24,13 +24,12 @@ int
 main(int argc, char **argv)
 {
     Cli cli(argc, argv);
+    cli.requireKnownFlags({"sparsity", "width", "rows", "slice"},
+                          cli.program());
     const double sparsity = cli.getDouble("sparsity", 0.6);
-    const auto width =
-        static_cast<std::uint32_t>(cli.getInt("width", 256));
-    const auto rows =
-        static_cast<std::uint32_t>(cli.getInt("rows", 512));
-    const auto slice =
-        static_cast<std::uint32_t>(cli.getInt("slice", 96));
+    const std::uint32_t width = cli.getCount("width", 256, 1);
+    const std::uint32_t rows = cli.getCount("rows", 512, 1);
+    const std::uint32_t slice = cli.getCount("slice", 96, 1);
 
     Rng rng(2026);
     const FeatureMask mask =

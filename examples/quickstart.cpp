@@ -10,8 +10,7 @@
 #include <cstdio>
 
 #include "accel/personalities.hh"
-#include "accel/runner.hh"
-#include "sim/cli.hh"
+#include "serve/cli_options.hh"
 #include "sim/table.hh"
 
 using namespace sgcn;
@@ -20,9 +19,11 @@ int
 main(int argc, char **argv)
 {
     Cli cli(argc, argv);
+    cli.requireKnownFlags({"dataset", "layers", "mode", "scale"},
+                          cli.program());
     const std::string abbrev = cli.getString("dataset", "CR");
     const unsigned layers = cli.getCount("layers", 28, 2);
-    const bool timing = cli.getString("mode", "fast") == "timing";
+    const RunOptions opts = runOptionsFromCli(cli);
 
     // 1. Instantiate a dataset stand-in (Table II statistics).
     const DatasetSpec &spec = datasetByAbbrev(abbrev);
@@ -42,9 +43,6 @@ main(int argc, char **argv)
     const AccelConfig sgcn_config = makeSgcn();
     const AccelConfig baseline = makeGcnax();
     std::printf("\n%s\n", sgcn_config.describe().c_str());
-
-    RunOptions opts;
-    opts.mode = timing ? ExecutionMode::Timing : ExecutionMode::Fast;
 
     const RunResult ours = runNetwork(sgcn_config, dataset, net, opts);
     const RunResult ref = runNetwork(baseline, dataset, net, opts);

@@ -121,8 +121,8 @@ struct EngineContext
     static Cycle pipelineTiles(const std::vector<TilePhase> &tiles);
 
     /** One past the last row this engine writes output for: the
-     *  layer's ownedRows on a chip shard (halo tail rows are
-     *  read-only sources), numVertices() on the monolithic path. */
+     *  layer's ownedRows (halo tail rows are read-only sources), or
+     *  numVertices() for a hand-built context that leaves it 0. */
     VertexId
     ownedEnd() const
     {

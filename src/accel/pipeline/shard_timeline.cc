@@ -1,26 +1,24 @@
 #include "accel/pipeline/shard_timeline.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace sgcn
 {
 
-ComposedShardLayer
+LayerResult
 composeChipLayers(std::span<const LayerResult> chip_layers,
                   const ExchangeCost &exchange)
 {
     SGCN_ASSERT(!chip_layers.empty(), "compose needs at least one chip");
 
-    ComposedShardLayer out;
-    for (std::size_t c = 1; c < chip_layers.size(); ++c) {
-        if (chip_layers[c].cycles >
-            chip_layers[out.bottleneckChip].cycles) {
-            out.bottleneckChip = static_cast<unsigned>(c);
-        }
-    }
-    const LayerResult &bottleneck = chip_layers[out.bottleneckChip];
-
-    LayerResult &merged = out.merged;
+    const LayerResult &bottleneck = *std::max_element(
+        chip_layers.begin(), chip_layers.end(),
+        [](const LayerResult &a, const LayerResult &b) {
+            return a.cycles < b.cycles;
+        });
+    LayerResult merged;
     merged.cycles = exchange.cycles + bottleneck.cycles;
     // Engine-busy cycles follow the critical path (the bottleneck
     // chip); traffic and work counts sum across chips.
@@ -43,7 +41,7 @@ composeChipLayers(std::span<const LayerResult> chip_layers,
     merged.schedule.inputDma.start = 0;
     SGCN_ASSERT(merged.schedule.criticalEnd() == merged.cycles,
                 "composed schedule must span the merged layer");
-    return out;
+    return merged;
 }
 
 } // namespace sgcn

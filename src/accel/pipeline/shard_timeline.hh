@@ -25,25 +25,17 @@
 namespace sgcn
 {
 
-/** One sharded layer composed onto the shared timeline. */
-struct ComposedShardLayer
-{
-    /** Wall clock + summed counts; see file comment. */
-    LayerResult merged;
-
-    /** Chip whose compute bound the layer (first max). */
-    unsigned bottleneckChip = 0;
-};
-
 /**
- * Compose one layer's per-chip results and its halo exchange.
+ * Compose one layer's per-chip results and its halo exchange: wall
+ * clock and summed counts on the bottleneck (first slowest) chip's
+ * schedule; see the file comment. bwUtil is left to the caller,
+ * which knows the chips' memory stacks.
  *
  * @param chip_layers one LayerResult per chip, same layer
  * @param exchange the priced halo exchange feeding this layer
  */
-ComposedShardLayer
-composeChipLayers(std::span<const LayerResult> chip_layers,
-                  const ExchangeCost &exchange);
+LayerResult composeChipLayers(std::span<const LayerResult> chip_layers,
+                              const ExchangeCost &exchange);
 
 } // namespace sgcn
 

@@ -56,7 +56,7 @@ StatSet runResultStats(const RunResult &run);
 /** One-line pipelining summary ("" when the run was serial). */
 std::string pipelineSummaryLine(const RunResult &run);
 
-/** One-line multi-chip summary ("" when the run was monolithic). */
+/** One-line multi-chip summary ("" for a one-chip run). */
 std::string shardSummaryLine(const RunResult &run);
 
 /** One-line fault summary ("" when the run was fault-free). */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "accel/dataflow/registry.hh"
 #include "accel/interconnect/exchange.hh"
@@ -49,419 +50,45 @@ chainSampledSchedules(const RunResult &run, unsigned arch_intermediate,
     return pipeline.schedule();
 }
 
-/** One sharded layer: composed timeline + its exchange breakdown. */
-struct ShardedLayer
+/**
+ * One simulated layer of a run, planned before any engine runs: the
+ * partition it runs on, which original chip each partition chip is,
+ * and the failure-recovery cost it pays. Chip failures are a pure
+ * function of the fault plan, so the whole plan is known up front.
+ */
+struct LayerPlan
 {
-    LayerResult merged;
+    /** 0 is the input layer. */
+    unsigned archLayer = 0;
 
-    /** Pure exchange pricing (fault retries included, recovery not). */
-    ExchangeCost exchange;
+    std::shared_ptr<const GraphPartition> partition;
 
-    std::vector<Cycle> chipCycles;
+    /** Partition chip index -> the original chip id fault clauses
+     *  (and ShardStats::chipCycles) name; identity until a
+     *  chip-fail shrinks the partition onto the survivors. */
+    std::vector<unsigned> originalChip;
 
-    /** Stall cycles injected into this layer's chip timelines. */
-    Cycle stallCycles = 0;
+    /** One-time recovery cost charged to this layer's exchange
+     *  prefix (the schedule slot the network pipeline already knows
+     *  how to hide). */
+    Cycle recoveryCycles = 0;
 };
 
-/**
- * Run one layer on every chip of @p partition — each chip building
- * its context and running its engine as one task of the jobs pool
- * (the chips share global masks through the artifact cache), the
- * halo exchange priced off the chip input layouts afterwards — and
- * compose the results onto the shared timeline. @p arch_layer 0 is
- * the input layer.
- *
- * @param injector fault decisions, or null for the fault-free path
- *        (which then prices bit-identically to the pre-fault code)
- * @param original_chip maps partition chip index -> the original chip
- *        id fault clauses name (identity until a chip-fail shrinks
- *        the partition onto the survivors)
- * @param recovery_cycles one-time failure-recovery cost charged to
- *        this layer's exchange prefix (the schedule slot the network
- *        pipeline already knows how to hide)
- */
-ShardedLayer
-runShardedLayer(const AccelConfig &config, const Dataset &dataset,
-                const NetworkSpec &net, const RunOptions &opts,
-                const GraphPartition &partition, unsigned arch_layer,
-                const FaultInjector *injector,
-                const std::vector<unsigned> &original_chip,
-                Cycle recovery_cycles)
+/** DRAM bandwidth use of @p lines over @p cycles when every chip
+ *  owns a private memory stack of @p dram. */
+double
+bandwidthUtil(const DramConfig &dram, std::uint64_t lines, Cycle cycles,
+              unsigned chips)
 {
-    const unsigned chips = partition.numChips();
-    const double retry_prob =
-        injector ? injector->plan().dramRetryProb() : 0.0;
-    std::vector<std::shared_ptr<const FeatureLayout>> in_layouts(chips);
-    std::vector<LayerResult> chip_results(chips);
-    parallelFor(opts.jobs, chips, [&](std::size_t c) {
-        const auto chip = static_cast<unsigned>(c);
-        const LayerContext ctx =
-            arch_layer == 0
-                ? makeChipInputLayer(dataset, partition, chip, config,
-                                     net)
-                : makeChipIntermediateLayer(dataset, partition, chip,
-                                            config, net, arch_layer);
-        in_layouts[c] = ctx.inLayout;
-        // A dram-retry fault gives every chip its own derived retry
-        // seed so chip timelines decorrelate; without one the shared
-        // config is used untouched.
-        const AccelConfig *cfg = &config;
-        AccelConfig chip_cfg;
-        if (retry_prob > 0.0) {
-            chip_cfg = config;
-            chip_cfg.dram.transientRetryProb = retry_prob;
-            chip_cfg.dram.retrySeed = FaultInjector::deriveSeed(
-                injector->plan().seed, original_chip[c]);
-            cfg = &chip_cfg;
-        }
-        LayerEngine engine(*cfg, ctx);
-        chip_results[c] = engine.run(opts.mode);
-    });
-
-    std::vector<const FeatureLayout *> layouts;
-    layouts.reserve(chips);
-    for (const auto &layout : in_layouts)
-        layouts.push_back(layout.get());
-    ShardedLayer out;
-    ExchangeFaultContext fault_ctx;
-    fault_ctx.injector = injector;
-    fault_ctx.archLayer = arch_layer;
-    fault_ctx.originalChip = original_chip.data();
-    out.exchange = priceHaloExchange(partition, layouts, opts.link,
-                                     injector ? &fault_ctx : nullptr);
-
-    if (injector) {
-        // Chip stalls extend the stalled chip's drain (and so its
-        // critical path), keeping criticalEnd() == cycles and the
-        // last tile pinned to the drain end.
-        for (unsigned c = 0; c < chips; ++c) {
-            const Cycle stall = injector->plan().chipStall(
-                original_chip[c], arch_layer);
-            if (stall == 0)
-                continue;
-            LayerResult &chip = chip_results[c];
-            chip.cycles += stall;
-            chip.schedule.outputDrain.end = chip.cycles;
-            chip.schedule.tileSpans.back().outputReady =
-                chip.schedule.outputDrain.end;
-            out.stallCycles += stall;
-        }
-    }
-
-    out.chipCycles.reserve(chips);
-    for (const LayerResult &chip : chip_results)
-        out.chipCycles.push_back(chip.cycles);
-
-    // Recovery rides the exchange slot of the composed schedule: the
-    // compose shifts the bottleneck timeline by the exchange cycles,
-    // so adding recovery there keeps every schedule invariant.
-    ExchangeCost priced = out.exchange;
-    priced.cycles += recovery_cycles;
-    out.merged = composeChipLayers(chip_results, priced).merged;
-    return out;
-}
-
-/** The chips > 1 body of runNetwork; see RunOptions::chips. */
-Expected<RunResult>
-tryRunNetworkSharded(const AccelConfig &config, const Dataset &dataset,
-                     const NetworkSpec &net, const RunOptions &opts)
-{
-    RunResult run;
-    run.accelName = config.name;
-    run.datasetAbbrev = dataset.spec.abbrev;
-
-    std::shared_ptr<const CsrGraph> reordered;
-    const CsrGraph *graph = &dataset.graph;
-    if (config.islandReorder) {
-        reordered = PreprocessCache::instance().islandized(
-            dataset.graph);
-        graph = reordered.get();
-    }
-
-    const unsigned chips = static_cast<unsigned>(
-        std::min<std::uint64_t>(opts.chips, graph->numVertices()));
-    if (Status valid = opts.faults.validate(chips); !valid.ok())
-        return valid.error();
-
-    const bool faulty = opts.faults.active();
-    const FaultInjector injector_storage(opts.faults);
-    const FaultInjector *injector = faulty ? &injector_storage : nullptr;
-
-    // Live partition state: shrinks when a chip-fail redistributes a
-    // dead chip's shard onto the survivors. original_chip maps the
-    // current partition's chip index back to the chip id fault
-    // clauses (and ShardStats::chipCycles) use.
-    auto partition = StreamArtifactCache::instance().partition(
-        *graph, chips, opts.partitionPolicy);
-    std::vector<unsigned> original_chip(chips);
-    for (unsigned c = 0; c < chips; ++c)
-        original_chip[c] = c;
-    Cycle pending_recovery = 0;
-
-    ShardStats &shard = run.shard;
-    shard.enabled = true;
-    shard.chips = chips;
-    shard.partitionPolicy = partitionPolicyName(opts.partitionPolicy);
-    shard.linkName = opts.link.name;
-    shard.haloVertices = partition->totalHaloVertices();
-    shard.chipCycles.assign(chips, 0);
-
-    FaultStats &faults = run.faults;
-    if (faulty) {
-        faults.enabled = true;
-        faults.spec = opts.faults.canonical();
-        faults.seed = opts.faults.seed;
-        faults.degradedMode = degradedModeName(opts.degradedMode);
-    }
-
-    // Exchange and per-chip totals follow run.total's extrapolation
-    // convention: input layer counted once, sampled intermediate
-    // layers scaled to the architectural depth. Fault event counts
-    // follow the same convention; recovery costs are one-time and
-    // accounted unscaled where they happen.
-    const auto account = [&shard, &faults, faulty,
-                          &original_chip](const ShardedLayer &layer,
-                                          double scale) {
-        shard.exchangeBytes += static_cast<std::uint64_t>(
-            static_cast<double>(layer.exchange.totalBytes) * scale);
-        shard.exchangeCycles += static_cast<Cycle>(
-            static_cast<double>(layer.exchange.cycles) * scale);
-        shard.linkBusyCycles += static_cast<Cycle>(
-            static_cast<double>(layer.exchange.busiestPortCycles) *
-            scale);
-        for (unsigned c = 0; c < layer.chipCycles.size(); ++c) {
-            shard.chipCycles[original_chip[c]] += static_cast<Cycle>(
-                static_cast<double>(layer.chipCycles[c]) * scale);
-        }
-        if (faulty) {
-            faults.linkRetries += static_cast<std::uint64_t>(
-                static_cast<double>(layer.exchange.retries) * scale);
-            faults.backoffCycles += static_cast<Cycle>(
-                static_cast<double>(layer.exchange.backoffCycles) *
-                scale);
-            faults.timeouts += static_cast<std::uint64_t>(
-                static_cast<double>(layer.exchange.timeouts) * scale);
-            faults.stallCycles += static_cast<Cycle>(
-                static_cast<double>(layer.stallCycles) * scale);
-        }
-    };
-
-    /**
-     * Detect chips that die at @p arch_layer, then run the layer on
-     * whatever partition survives. Detection happens at the layer
-     * boundary — the previous layer completed everywhere — so the
-     * replay resumes from the last completed layer with no partial
-     * work lost; the recovery cost (detection timeout, route latency,
-     * re-materializing the dead shard's X^l on the survivors) is
-     * charged to the replayed layer's exchange prefix.
-     */
-    const auto run_layer =
-        [&](unsigned arch_layer) -> Expected<ShardedLayer> {
-        if (faulty && opts.faults.hasChipFailure()) {
-            std::vector<unsigned> dead;
-            for (unsigned c = 0;
-                 c < static_cast<unsigned>(original_chip.size()); ++c) {
-                if (opts.faults.failsAt(original_chip[c], arch_layer))
-                    dead.push_back(c);
-            }
-            if (!dead.empty() &&
-                opts.degradedMode == DegradedMode::FailFast) {
-                return makeError(
-                    ErrorCode::ChipFailure, "chip ",
-                    original_chip[dead.front()], " failed at layer ",
-                    arch_layer, " on ", dataset.spec.abbrev, " ('",
-                    config.name,
-                    "'); --degraded-mode fail-fast aborts the run "
-                    "(use repartition to continue on the survivors)");
-            }
-            if (dead.size() >= original_chip.size()) {
-                return makeError(ErrorCode::ChipFailure,
-                                 "every chip failed by layer ",
-                                 arch_layer,
-                                 "; no survivors to repartition onto");
-            }
-            if (!dead.empty()) {
-                const unsigned survivors = static_cast<unsigned>(
-                    original_chip.size() - dead.size());
-                const unsigned width =
-                    arch_layer == 0 ? dataset.inputWidth : net.hidden;
-                Cycle recovery = 0;
-                for (unsigned c : dead) {
-                    // Detection (the exchange timeout expiring on the
-                    // dead port), the redistribution route, and the
-                    // re-materialization of the dead shard's dense
-                    // X^l rows on the survivors.
-                    const std::uint64_t bytes =
-                        static_cast<std::uint64_t>(
-                            partition->shard(c).ownedRows()) *
-                        width * 4;
-                    recovery += opts.link.exchangeTimeoutCycles +
-                                opts.link.hops(survivors) *
-                                    opts.link.hopLatency +
-                                opts.link.serializationCycles(bytes);
-                }
-                for (auto it = dead.rbegin(); it != dead.rend(); ++it) {
-                    original_chip.erase(original_chip.begin() + *it);
-                }
-                partition = StreamArtifactCache::instance().partition(
-                    *graph, survivors, opts.partitionPolicy);
-                faults.failedChips +=
-                    static_cast<unsigned>(dead.size());
-                faults.repartitions += 1;
-                faults.recoveryCycles += recovery;
-                faults.recoveredLayers.push_back(arch_layer);
-                pending_recovery += recovery;
-            }
-        }
-        ShardedLayer layer = runShardedLayer(
-            config, dataset, net, opts, *partition, arch_layer,
-            injector, original_chip, pending_recovery);
-        pending_recovery = 0;
-        return layer;
-    };
-
-    if (opts.includeInputLayer) {
-        Expected<ShardedLayer> layer = run_layer(0);
-        if (!layer.ok())
-            return layer.error();
-        run.inputLayer = layer.value().merged;
-        run.total.merge(run.inputLayer);
-        account(layer.value(), 1.0);
-    }
-
-    const unsigned arch_intermediate = net.layers - 1;
-    const auto indices = sampleLayerIndices(
-        arch_intermediate, opts.sampledIntermediateLayers);
-    const double repeats = static_cast<double>(arch_intermediate) /
-                           static_cast<double>(indices.size());
-    LayerResult sampled_sum;
-    for (unsigned idx : indices) {
-        Expected<ShardedLayer> layer = run_layer(idx + 1);
-        if (!layer.ok())
-            return layer.error();
-        run.sampledLayers.push_back(layer.value().merged);
-        sampled_sum.merge(layer.value().merged);
-        account(layer.value(), repeats);
-    }
-    sampled_sum.scale(repeats);
-    run.total.merge(sampled_sum);
-
-    if (opts.pipelined()) {
-        // Identical chaining to the monolithic path: the composed
-        // schedules satisfy criticalEnd() == cycles, and their
-        // exchange rides the input-DMA prefix, so the pipeline hides
-        // it behind the previous layer's drain where it fits.
-        const NetworkSchedule layer_sched = chainSampledSchedules(
-            run, arch_intermediate, opts.includeInputLayer,
-            PipelineGating::PerLayer);
-        const NetworkSchedule tile_sched = chainSampledSchedules(
-            run, arch_intermediate, opts.includeInputLayer,
-            PipelineGating::PerTile);
-        SGCN_ASSERT(layer_sched.totalCycles <= run.total.cycles,
-                    "pipelined sharded total exceeds its serial total");
-        SGCN_ASSERT(tile_sched.totalCycles <= layer_sched.totalCycles,
-                    "per-tile sharded total exceeds per-layer total");
-        const NetworkSchedule &sched =
-            opts.tileOverlap ? tile_sched : layer_sched;
-        run.pipeline.enabled = true;
-        run.pipeline.gating = opts.tileOverlap
-                                  ? PipelineGating::PerTile
-                                  : PipelineGating::PerLayer;
-        run.pipeline.serialCycles = run.total.cycles;
-        run.pipeline.pipelinedCycles = sched.totalCycles;
-        run.pipeline.overlapSavedCycles =
-            run.total.cycles - sched.totalCycles;
-        run.pipeline.perLayerCycles = layer_sched.totalCycles;
-        run.pipeline.perTileCycles = tile_sched.totalCycles;
-        run.pipeline.tileSavedCycles =
-            layer_sched.totalCycles - tile_sched.totalCycles;
-        const PipelinedLayer &bottleneck = sched.bottleneckStage();
-        run.pipeline.steadyStateAdvance = bottleneck.steadyCost();
-        run.pipeline.criticalPhase =
-            bottleneck.schedule.longestPhase();
-        run.total.cycles = sched.totalCycles;
-    }
-
-    if (faulty) {
-        faults.survivingChips =
-            static_cast<unsigned>(original_chip.size());
-        faults.dramRetries = run.total.dramRetries;
-    }
-
-    // Exports report the post-repartition topology: slot i of
-    // chipCycles is the chip shard.chipIds[i]. Clean runs keep the
-    // identity mapping (and byte-identical CSV output); after
-    // failures the dead chips' half-accumulated slots are dropped so
-    // per-chip tables, the bottleneck, and bwUtil index only the
-    // survivors.
-    shard.chipIds = original_chip;
-    const unsigned live_chips =
-        static_cast<unsigned>(original_chip.size());
-    if (faults.failedChips > 0) {
-        std::vector<Cycle> survivor_cycles(live_chips);
-        for (unsigned i = 0; i < live_chips; ++i)
-            survivor_cycles[i] = shard.chipCycles[original_chip[i]];
-        shard.chipCycles = std::move(survivor_cycles);
-    }
-    shard.bottleneckChipCycles = *std::max_element(
-        shard.chipCycles.begin(), shard.chipCycles.end());
-    if (run.total.cycles > 0) {
-        // Every chip owns a private memory stack: the summed traffic
-        // spreads over chips x channels (the surviving chips' stacks
-        // once any failed chip's stack is lost).
-        run.total.bwUtil = std::min(
-            1.0, static_cast<double>(run.total.traffic.totalLines()) *
-                     config.dram.burstCycles /
-                     (static_cast<double>(live_chips) *
-                      static_cast<double>(config.dram.channels) *
-                      static_cast<double>(run.total.cycles)));
-        shard.linkBusyFraction = std::min(
-            1.0, static_cast<double>(shard.linkBusyCycles) /
-                     static_cast<double>(run.total.cycles));
-    }
-
-    EnergyModel energy_model(
-        {}, config.dram.generation == DramGeneration::Hbm1);
-    RunCounts counts;
-    counts.macs = run.total.macs;
-    counts.cacheAccesses = run.total.cacheAccesses;
-    counts.dramLines = run.total.traffic.totalLines();
-    counts.cycles = run.total.cycles;
-    AccelDescriptor desc = config.energyDesc;
-    desc.cacheKb =
-        static_cast<double>(config.cache.sizeBytes) / 1024.0;
-    run.energy = energy_model.dynamicEnergy(counts, desc.cacheKb);
-    // TDP and area replicate per chip; dynamic energy already sums
-    // through the per-chip counts.
-    run.tdpWatts = energy_model.tdpWatts(desc) * chips;
-    run.areaMm2 = energy_model.areaMm2(desc) * chips;
-    return run;
+    if (cycles == 0)
+        return 0.0;
+    return std::min(1.0, static_cast<double>(lines) * dram.burstCycles /
+                             (static_cast<double>(chips) *
+                              static_cast<double>(dram.channels) *
+                              static_cast<double>(cycles)));
 }
 
 } // namespace
-
-void
-applyPipelineFlag(RunOptions &opts, bool present,
-                  const std::string &value)
-{
-    if (!present)
-        return;
-    if (value.empty() || value == "1" || value == "true" ||
-        value == "yes" || value == "on" || value == "layer") {
-        opts.interLayerOverlap = true;
-        opts.tileOverlap = false;
-    } else if (value == "tile") {
-        opts.interLayerOverlap = true;
-        opts.tileOverlap = true;
-    } else if (value == "0" || value == "false" || value == "no" ||
-               value == "off") {
-        opts.interLayerOverlap = false;
-        opts.tileOverlap = false;
-    } else {
-        fatal("bad --pipeline value '", value,
-              "' (expected off|layer|tile)");
-    }
-}
 
 Expected<RunResult>
 tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
@@ -480,29 +107,6 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
     if (opts.includeInputLayer)
         dataflowFor(LayerEngine::effectiveDataflow(config, true));
 
-    // The sharded path is a separate body so chips=1 stays
-    // bit-identical to the monolithic code below by construction.
-    if (opts.chips > 1)
-        return tryRunNetworkSharded(config, dataset, net, opts);
-
-    // Only dram-retry survives validation on a monolithic run; the
-    // faulted config copy exists only when it is actually wanted, so
-    // the fault-free path runs the caller's config untouched.
-    if (Status valid = opts.faults.validate(1); !valid.ok())
-        return valid.error();
-    const double retry_prob =
-        opts.faults.active() ? opts.faults.dramRetryProb() : 0.0;
-    AccelConfig faulted_config;
-    const AccelConfig *cfgp = &config;
-    if (retry_prob > 0.0) {
-        faulted_config = config;
-        faulted_config.dram.transientRetryProb = retry_prob;
-        faulted_config.dram.retrySeed =
-            FaultInjector::deriveSeed(opts.faults.seed, 0);
-        cfgp = &faulted_config;
-    }
-    const AccelConfig &cfg = *cfgp;
-
     RunResult run;
     run.accelName = config.name;
     run.datasetAbbrev = dataset.spec.abbrev;
@@ -519,35 +123,228 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
         graph = reordered.get();
     }
 
-    // Intermediate layers: X^l for l in 1..layers-1 feeds layer l+1.
-    // The input layer and the sampled intermediate layers are
-    // independent simulations (each engine owns its cache and DRAM),
-    // so they fan out as one batch and merge here in layer order.
+    // Every run is a partition; one chip is one shard with no halo,
+    // so its exchange is free and its engines see the whole graph.
+    const unsigned chips = static_cast<unsigned>(
+        std::min<std::uint64_t>(opts.chips, graph->numVertices()));
+    if (Status valid = opts.faults.validate(chips); !valid.ok())
+        return valid.error();
+
+    const bool faulty = opts.faults.active();
+    const FaultInjector injector_storage(opts.faults);
+    const FaultInjector *injector = faulty ? &injector_storage : nullptr;
+    const double retry_prob =
+        faulty ? opts.faults.dramRetryProb() : 0.0;
+
+    FaultStats &faults = run.faults;
+    if (faulty) {
+        faults.enabled = true;
+        faults.spec = opts.faults.canonical();
+        faults.seed = opts.faults.seed;
+        faults.degradedMode = degradedModeName(opts.degradedMode);
+    }
+
+    // Plan the simulated layers in order: the input layer, then the
+    // sampled intermediate layers (X^l for l in 1..layers-1 feeds
+    // layer l+1). A chip that dies at a layer is detected at that
+    // layer boundary — the previous layer completed everywhere — so
+    // the layer replays on the survivors with no partial work lost;
+    // the recovery cost (detection timeout, route latency,
+    // re-materializing the dead shard's X^l on the survivors) is
+    // charged to the replayed layer's exchange prefix.
     const unsigned arch_intermediate = net.layers - 1;
     const auto indices = sampleLayerIndices(
         arch_intermediate, opts.sampledIntermediateLayers);
-    const std::size_t first = opts.includeInputLayer ? 1 : 0;
-    std::vector<LayerResult> layers(first + indices.size());
-    parallelFor(opts.jobs, layers.size(), [&](std::size_t i) {
+    std::vector<unsigned> arch_layers;
+    if (opts.includeInputLayer)
+        arch_layers.push_back(0);
+    for (unsigned idx : indices)
+        arch_layers.push_back(idx + 1);
+
+    auto partition = StreamArtifactCache::instance().partition(
+        *graph, chips, opts.partitionPolicy);
+    const std::uint64_t halo_vertices = partition->totalHaloVertices();
+    std::vector<unsigned> original_chip(chips);
+    for (unsigned c = 0; c < chips; ++c)
+        original_chip[c] = c;
+    std::vector<LayerPlan> plans;
+    for (unsigned arch_layer : arch_layers) {
+        std::vector<unsigned> dead;
+        for (unsigned c = 0; faulty && c < original_chip.size(); ++c) {
+            if (opts.faults.failsAt(original_chip[c], arch_layer))
+                dead.push_back(c);
+        }
+        Cycle recovery = 0;
+        if (!dead.empty()) {
+            if (opts.degradedMode == DegradedMode::FailFast) {
+                return makeError(
+                    ErrorCode::ChipFailure, "chip ",
+                    original_chip[dead.front()], " failed at layer ",
+                    arch_layer, " on ", dataset.spec.abbrev, " ('",
+                    config.name,
+                    "'); --degraded-mode fail-fast aborts the run "
+                    "(use repartition to continue on the survivors)");
+            }
+            if (dead.size() >= original_chip.size()) {
+                return makeError(ErrorCode::ChipFailure,
+                                 "every chip failed by layer ",
+                                 arch_layer,
+                                 "; no survivors to repartition onto");
+            }
+            const unsigned survivors = static_cast<unsigned>(
+                original_chip.size() - dead.size());
+            const unsigned width =
+                arch_layer == 0 ? dataset.inputWidth : net.hidden;
+            for (unsigned c : dead) {
+                // Detection (the exchange timeout expiring on the
+                // dead port), the redistribution route, and the
+                // re-materialization of the dead shard's dense X^l
+                // rows on the survivors.
+                const std::uint64_t bytes =
+                    static_cast<std::uint64_t>(
+                        partition->shard(c).ownedRows()) *
+                    width * 4;
+                recovery += opts.link.exchangeTimeoutCycles +
+                            opts.link.hops(survivors) *
+                                opts.link.hopLatency +
+                            opts.link.serializationCycles(bytes);
+            }
+            for (auto it = dead.rbegin(); it != dead.rend(); ++it)
+                original_chip.erase(original_chip.begin() + *it);
+            partition = StreamArtifactCache::instance().partition(
+                *graph, survivors, opts.partitionPolicy);
+            faults.failedChips += static_cast<unsigned>(dead.size());
+            faults.repartitions += 1;
+            faults.recoveryCycles += recovery;
+            faults.recoveredLayers.push_back(arch_layer);
+        }
+        plans.push_back({arch_layer, partition, original_chip, recovery});
+    }
+
+    // Every (layer, chip) engine is an independent simulation (each
+    // owns its cache and DRAM; the chips share global masks through
+    // the artifact cache), so they fan out as one batch.
+    std::vector<std::size_t> first_task{0};
+    for (const LayerPlan &plan : plans)
+        first_task.push_back(first_task.back() +
+                             plan.partition->numChips());
+    std::vector<LayerResult> chip_results(first_task.back());
+    std::vector<std::shared_ptr<const FeatureLayout>> in_layouts(
+        first_task.back());
+    parallelFor(opts.jobs, chip_results.size(), [&](std::size_t t) {
+        const std::size_t layer = static_cast<std::size_t>(
+            std::upper_bound(first_task.begin(), first_task.end(), t) -
+            first_task.begin() - 1);
+        const LayerPlan &plan = plans[layer];
+        const auto chip = static_cast<unsigned>(t - first_task[layer]);
         const LayerContext ctx =
-            i < first ? makeInputLayer(dataset, *graph, cfg, net)
-                      : makeIntermediateLayer(dataset, *graph, cfg, net,
-                                              indices[i - first] + 1);
-        LayerEngine engine(cfg, ctx);
-        layers[i] = engine.run(opts.mode);
+            plan.archLayer == 0
+                ? makeChipInputLayer(dataset, *plan.partition, chip,
+                                     config, net)
+                : makeChipIntermediateLayer(dataset, *plan.partition,
+                                            chip, config, net,
+                                            plan.archLayer);
+        in_layouts[t] = ctx.inLayout;
+        // A dram-retry fault gives every chip its own derived retry
+        // seed so chip timelines decorrelate; without one the
+        // caller's config runs untouched.
+        const AccelConfig *cfg = &config;
+        AccelConfig chip_cfg;
+        if (retry_prob > 0.0) {
+            chip_cfg = config;
+            chip_cfg.dram.transientRetryProb = retry_prob;
+            chip_cfg.dram.retrySeed = FaultInjector::deriveSeed(
+                opts.faults.seed, plan.originalChip[chip]);
+            cfg = &chip_cfg;
+        }
+        LayerEngine engine(*cfg, ctx);
+        chip_results[t] = engine.run(opts.mode);
     });
 
-    if (opts.includeInputLayer) {
-        run.inputLayer = std::move(layers.front());
-        run.total.merge(run.inputLayer);
-    }
+    // Price each layer's halo exchange off its chip input layouts,
+    // compose the chips onto the shared timeline, and account it, in
+    // layer order. Exchange and per-chip totals follow run.total's
+    // extrapolation convention: input layer counted once, sampled
+    // intermediate layers scaled to the architectural depth. Fault
+    // event counts follow the same convention; recovery costs are
+    // one-time and accounted unscaled where they happen.
+    ShardStats shard;
+    shard.chipCycles.assign(chips, 0);
+    const double repeats = static_cast<double>(arch_intermediate) /
+                           static_cast<double>(indices.size());
     LayerResult sampled_sum;
-    for (std::size_t i = first; i < layers.size(); ++i) {
-        run.sampledLayers.push_back(std::move(layers[i]));
-        sampled_sum.merge(run.sampledLayers.back());
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+        const LayerPlan &plan = plans[i];
+        const std::span<LayerResult> layer_chips(
+            chip_results.data() + first_task[i],
+            first_task[i + 1] - first_task[i]);
+        std::vector<const FeatureLayout *> layouts;
+        for (std::size_t t = first_task[i]; t < first_task[i + 1]; ++t)
+            layouts.push_back(in_layouts[t].get());
+        ExchangeFaultContext fault_ctx;
+        fault_ctx.injector = injector;
+        fault_ctx.archLayer = plan.archLayer;
+        fault_ctx.originalChip = plan.originalChip.data();
+        const ExchangeCost exchange =
+            priceHaloExchange(*plan.partition, layouts, opts.link,
+                              injector ? &fault_ctx : nullptr);
+
+        // Chip stalls extend the stalled chip's drain (and so its
+        // critical path), keeping criticalEnd() == cycles and the
+        // last tile pinned to the drain end.
+        Cycle stall_cycles = 0;
+        for (unsigned c = 0; injector && c < layer_chips.size(); ++c) {
+            const Cycle stall = injector->plan().chipStall(
+                plan.originalChip[c], plan.archLayer);
+            if (stall == 0)
+                continue;
+            LayerResult &chip = layer_chips[c];
+            chip.cycles += stall;
+            chip.schedule.outputDrain.end = chip.cycles;
+            chip.schedule.tileSpans.back().outputReady =
+                chip.schedule.outputDrain.end;
+            stall_cycles += stall;
+        }
+
+        // Recovery rides the exchange slot of the composed schedule:
+        // the compose shifts the bottleneck timeline by the exchange
+        // cycles, so adding recovery there keeps every schedule
+        // invariant.
+        ExchangeCost priced = exchange;
+        priced.cycles += plan.recoveryCycles;
+        LayerResult merged = composeChipLayers(layer_chips, priced);
+        merged.bwUtil = bandwidthUtil(
+            config.dram, merged.traffic.totalLines(), merged.cycles,
+            static_cast<unsigned>(layer_chips.size()));
+
+        const double scale = plan.archLayer == 0 ? 1.0 : repeats;
+        const auto scaled = [scale](auto value) {
+            return static_cast<decltype(value)>(
+                static_cast<double>(value) * scale);
+        };
+        shard.exchangeBytes += scaled(exchange.totalBytes);
+        shard.exchangeCycles += scaled(exchange.cycles);
+        shard.linkBusyCycles += scaled(exchange.busiestPortCycles);
+        for (unsigned c = 0; c < layer_chips.size(); ++c) {
+            shard.chipCycles[plan.originalChip[c]] +=
+                scaled(layer_chips[c].cycles);
+        }
+        if (faulty) {
+            faults.linkRetries += scaled(exchange.retries);
+            faults.backoffCycles += scaled(exchange.backoffCycles);
+            faults.timeouts += scaled(exchange.timeouts);
+            faults.stallCycles += scaled(stall_cycles);
+        }
+
+        if (plan.archLayer == 0) {
+            run.inputLayer = std::move(merged);
+            run.total.merge(run.inputLayer);
+        } else {
+            run.sampledLayers.push_back(std::move(merged));
+            sampled_sum.merge(run.sampledLayers.back());
+        }
     }
-    sampled_sum.scale(static_cast<double>(arch_intermediate) /
-                      static_cast<double>(indices.size()));
+    sampled_sum.scale(repeats);
     run.total.merge(sampled_sum);
 
     if (opts.pipelined()) {
@@ -556,7 +353,10 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
         // timeline-independent and keep the serial extrapolation.
         // Both gating granularities are chained (pure arithmetic
         // over the already-simulated schedules), so every pipelined
-        // run carries the serial/per-layer/per-tile triple.
+        // run carries the serial/per-layer/per-tile triple. Composed
+        // schedules satisfy criticalEnd() == cycles and their
+        // exchange rides the input-DMA prefix, so the pipeline hides
+        // it behind the previous layer's drain where it fits.
         const NetworkSchedule layer_sched = chainSampledSchedules(
             run, arch_intermediate, opts.includeInputLayer,
             PipelineGating::PerLayer);
@@ -594,12 +394,44 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
         run.total.cycles = sched.totalCycles;
     }
 
-    if (run.total.cycles > 0) {
-        run.total.bwUtil = std::min(
-            1.0, static_cast<double>(run.total.traffic.totalLines()) *
-                     config.dram.burstCycles /
-                     (static_cast<double>(config.dram.channels) *
-                      static_cast<double>(run.total.cycles)));
+    const auto live_chips = static_cast<unsigned>(original_chip.size());
+    if (faulty) {
+        faults.survivingChips = live_chips;
+        faults.dramRetries = run.total.dramRetries;
+    }
+    // Every chip owns a private memory stack: the summed traffic
+    // spreads over chips x channels (the surviving chips' stacks
+    // once any failed chip's stack is lost).
+    run.total.bwUtil =
+        bandwidthUtil(config.dram, run.total.traffic.totalLines(),
+                      run.total.cycles, live_chips);
+
+    if (opts.chips > 1) {
+        // Exports report the post-repartition topology: slot i of
+        // chipCycles is the chip shard.chipIds[i]. Clean runs keep
+        // the identity mapping; after failures the dead chips'
+        // half-accumulated slots are dropped so per-chip tables and
+        // the bottleneck index only the survivors.
+        shard.enabled = true;
+        shard.chips = chips;
+        shard.partitionPolicy = partitionPolicyName(opts.partitionPolicy);
+        shard.linkName = opts.link.name;
+        shard.haloVertices = halo_vertices;
+        shard.chipIds = original_chip;
+        if (faults.failedChips > 0) {
+            std::vector<Cycle> survivor_cycles(live_chips);
+            for (unsigned i = 0; i < live_chips; ++i)
+                survivor_cycles[i] = shard.chipCycles[original_chip[i]];
+            shard.chipCycles = std::move(survivor_cycles);
+        }
+        shard.bottleneckChipCycles = *std::max_element(
+            shard.chipCycles.begin(), shard.chipCycles.end());
+        if (run.total.cycles > 0) {
+            shard.linkBusyFraction = std::min(
+                1.0, static_cast<double>(shard.linkBusyCycles) /
+                         static_cast<double>(run.total.cycles));
+        }
+        run.shard = std::move(shard);
     }
 
     EnergyModel energy_model(
@@ -613,17 +445,10 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
     desc.cacheKb =
         static_cast<double>(config.cache.sizeBytes) / 1024.0;
     run.energy = energy_model.dynamicEnergy(counts, desc.cacheKb);
-    run.tdpWatts = energy_model.tdpWatts(desc);
-    run.areaMm2 = energy_model.areaMm2(desc);
-
-    if (opts.faults.active()) {
-        run.faults.enabled = true;
-        run.faults.spec = opts.faults.canonical();
-        run.faults.seed = opts.faults.seed;
-        run.faults.degradedMode = degradedModeName(opts.degradedMode);
-        run.faults.dramRetries = run.total.dramRetries;
-        run.faults.survivingChips = 1;
-    }
+    // TDP and area replicate per chip; dynamic energy already sums
+    // through the per-chip counts.
+    run.tdpWatts = energy_model.tdpWatts(desc) * chips;
+    run.areaMm2 = energy_model.areaMm2(desc) * chips;
     return run;
 }
 

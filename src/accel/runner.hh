@@ -18,7 +18,6 @@
 #ifndef SGCN_ACCEL_RUNNER_HH
 #define SGCN_ACCEL_RUNNER_HH
 
-#include <string>
 #include <vector>
 
 #include "accel/config.hh"
@@ -72,13 +71,13 @@ struct RunOptions
 
     /**
      * Parallelism of every fan-out a run makes: personalities in
-     * runAll, the input and sampled layers of one network, the chips
-     * of a sharded layer, served batches. 1 runs serially on the
-     * caller thread (the default, so library behaviour is
-     * unchanged), 0 uses every hardware thread, N runs at most N
-     * tasks of each fan-out at once. Nested fan-outs share one
-     * process-wide pool (src/sim/thread_pool.hh). Results are
-     * deterministic and input-ordered regardless of the value.
+     * runAll, the (layer, chip) engines of one network, served
+     * batches. 1 runs serially on the caller thread (the default, so
+     * library behaviour is unchanged), 0 uses every hardware thread,
+     * N runs at most N tasks of each fan-out at once. Nested
+     * fan-outs share one process-wide pool (src/sim/thread_pool.hh).
+     * Results are deterministic and input-ordered regardless of the
+     * value.
      */
     unsigned jobs = 1;
 
@@ -93,13 +92,13 @@ struct RunOptions
     bool releaseArtifacts = false;
 
     /**
-     * Simulated accelerator chips. 1 (the default) is the monolithic
-     * path, bit-identical to every release before the sharded
-     * refactor. N > 1 partitions the graph with partitionPolicy,
-     * runs every layer on all chips concurrently (fanned over the
-     * same jobs pool), and composes the per-chip timelines with a
-     * halo-feature exchange over `link` between layers. Clamped to
-     * the vertex count. RunResult::shard reports the breakdown.
+     * Simulated accelerator chips (clamped to the vertex count).
+     * Every run partitions the graph with partitionPolicy, runs each
+     * layer on every chip (all layers x chips fan out over the jobs
+     * pool), and composes the per-chip timelines with a halo-feature
+     * exchange over `link`. 1 (the default) is one shard with no
+     * halo: the whole graph, a free exchange, and no
+     * RunResult::shard block; N > 1 reports the shard breakdown.
      */
     unsigned chips = 1;
 
@@ -134,15 +133,6 @@ struct RunOptions
  * runAll calls this when RunOptions::releaseArtifacts is set.
  */
 void clearSweepArtifacts();
-
-/**
- * Apply the shared --pipeline[=off|layer|tile] CLI flag to @p opts:
- * absent leaves the options alone; bare/"layer"/truthy values select
- * per-layer gating; "tile" selects per-tile gating; falsy values
- * turn pipelining off. Fatal on anything else.
- */
-void applyPipelineFlag(RunOptions &opts, bool present,
-                       const std::string &value);
 
 /**
  * Simulate @p net on @p dataset with accelerator @p config,

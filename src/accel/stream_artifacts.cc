@@ -139,8 +139,15 @@ StreamArtifactCache::partition(const CsrGraph &graph, unsigned chips,
         PartitionKey{lo, hi, chips,
                      static_cast<std::uint8_t>(policy)},
         [&] {
-            return std::make_shared<const GraphPartition>(graph, chips,
-                                                          policy);
+            // A one-chip shard aliases the canonical graph; wider
+            // partitions copy their subgraphs and only borrow @p graph
+            // (a non-owning handle) while they are built.
+            auto parent =
+                chips == 1 ? canonicalGraph(graph)
+                           : std::shared_ptr<const CsrGraph>(
+                                 std::shared_ptr<const CsrGraph>(), &graph);
+            return std::make_shared<const GraphPartition>(
+                std::move(parent), chips, policy);
         },
         [](const GraphPartition &p) { return p.footprintBytes(); });
 }
@@ -168,6 +175,8 @@ StreamArtifactCache::chipMask(const MaskHandle &parent,
     SGCN_ASSERT(parent, "chip mask needs a parent mask");
     SGCN_ASSERT(chip < partition.numChips(), "chip out of range");
     const ChipShard &shard = partition.shard(chip);
+    if (shard.ownedRows() == partition.numVertices())
+        return parent; // the whole graph, no halo: nothing to gather
     const auto total = static_cast<std::uint32_t>(shard.ownedRows() +
                                                   shard.haloRows());
 

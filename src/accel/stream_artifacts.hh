@@ -125,7 +125,8 @@ class StreamArtifactCache
     /**
      * The @p chips-way partition of @p graph under @p policy,
      * computed once per (topology, chips, policy) per sweep and
-     * shared across every personality and chip engine.
+     * shared across every personality and chip engine. A one-chip
+     * partition's shard is canonicalGraph(@p graph).
      */
     std::shared_ptr<const GraphPartition>
     partition(const CsrGraph &graph, unsigned chips,
@@ -139,7 +140,8 @@ class StreamArtifactCache
      * parent rows (otherwise they stay all-zero, the shape of a chip
      * *output* mask). The handle's key digests the parent key and
      * the partition identity, so chip layouts prepared against it
-     * never alias global ones.
+     * never alias global ones. A shard owning the whole graph (one
+     * chip, no halo) gets @p parent itself back.
      */
     MaskHandle chipMask(const MaskHandle &parent,
                         const GraphPartition &partition, unsigned chip,

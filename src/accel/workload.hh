@@ -80,16 +80,18 @@ struct LayerContext
      *  reduces the edges actually walked). */
     double edgeSampleFraction = 1.0;
 
-    /** Rows this engine owns the *output* of: 0 means all (the
-     *  monolithic path). On a chip shard the first ownedRows rows are
-     *  owned destinations and the tail rows are halo sources the chip
-     *  reads but never writes — output-side streams (drain, residual,
-     *  combination of aggregated rows) clamp to this. */
+    /** Rows this engine owns the *output* of: the first ownedRows
+     *  rows of the chip shard are owned destinations and the tail
+     *  rows are halo sources the chip reads but never writes —
+     *  output-side streams (drain, residual, combination of
+     *  aggregated rows) clamp to this. A one-chip shard owns every
+     *  row; 0 (hand-built fixtures) also means every row. */
     VertexId ownedRows = 0;
 };
 
 /**
- * Build the context of one intermediate layer.
+ * Build the context of one intermediate layer over the whole graph:
+ * makeChipIntermediateLayer on the one-chip partition of @p graph.
  *
  * @param dataset the instantiated dataset (graph may be reordered
  *        by the caller for I-GCN)
@@ -104,14 +106,16 @@ LayerContext makeIntermediateLayer(const Dataset &dataset,
                                    const NetworkSpec &net,
                                    unsigned arch_layer);
 
-/** Build the input-layer context (X^0: dataset features). */
+/** Build the input-layer context (X^0: dataset features) over the
+ *  whole graph: makeChipInputLayer on the one-chip partition. */
 LayerContext makeInputLayer(const Dataset &dataset,
                             const CsrGraph &graph,
                             const AccelConfig &config,
                             const NetworkSpec &net);
 
 /**
- * Chip-local variant of makeIntermediateLayer for sharded runs: the
+ * The context of one intermediate layer on @p chip of @p partition
+ * (every run is a partition; one chip is the whole graph): the
  * shard's renumbered subgraph, the *global* layer masks sliced to
  * (owned + halo) rows bit-exactly, and ownedRows set so output-side
  * streams stop at the chip boundary. Masks and layouts resolve
@@ -125,7 +129,7 @@ LayerContext makeChipIntermediateLayer(const Dataset &dataset,
                                        const NetworkSpec &net,
                                        unsigned arch_layer);
 
-/** Chip-local variant of makeInputLayer. */
+/** The input-layer context on @p chip of @p partition. */
 LayerContext makeChipInputLayer(const Dataset &dataset,
                                 const GraphPartition &partition,
                                 unsigned chip,

@@ -193,10 +193,11 @@ cutPoints(const CsrGraph &parent, unsigned chips,
 
 } // namespace
 
-GraphPartition::GraphPartition(const CsrGraph &parent, unsigned chips,
-                               PartitionPolicy policy)
-    : cutPolicy(policy), parentVertices(parent.numVertices())
+GraphPartition::GraphPartition(std::shared_ptr<const CsrGraph> parent_graph,
+                               unsigned chips, PartitionPolicy policy)
+    : cutPolicy(policy), parentVertices(parent_graph->numVertices())
 {
+    const CsrGraph &parent = *parent_graph;
     const VertexId n = parent.numVertices();
     SGCN_ASSERT(chips >= 1 && chips <= n,
                 "cannot partition ", n, " vertices over ", chips,
@@ -215,6 +216,12 @@ GraphPartition::GraphPartition(const CsrGraph &parent, unsigned chips,
         shard.end = cuts[c + 1];
         SGCN_ASSERT(shard.begin < shard.end,
                     "chip ", c, " owns no vertices");
+        if (chips == 1) {
+            shard.graph = parent_graph;
+            shard.ownedEdges = parent.numEdges();
+            chipShards.push_back(std::move(shard));
+            break;
+        }
         const VertexId owned = shard.ownedRows();
 
         // Halo: sources outside the owned range, ascending and
@@ -303,9 +310,8 @@ GraphPartition::footprintBytes() const
 {
     std::uint64_t bytes = sizeof(*this);
     for (const ChipShard &shard : chipShards) {
-        bytes += sizeof(shard) +
-                 shard.halo.size() * sizeof(VertexId) +
-                 (shard.graph ? shard.graph->footprintBytes() : 0);
+        bytes += sizeof(shard) + shard.halo.size() * sizeof(VertexId) +
+                 (numChips() > 1 ? shard.graph->footprintBytes() : 0);
     }
     return bytes;
 }

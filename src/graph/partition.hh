@@ -202,8 +202,14 @@ struct ChipShard
 class GraphPartition
 {
   public:
-    GraphPartition(const CsrGraph &parent, unsigned chips,
-                   PartitionPolicy policy);
+    /**
+     * Partition @p parent over @p chips. A one-chip partition has
+     * identity renumbering and no halo, so its shard aliases
+     * @p parent instead of copying it; wider partitions build their
+     * renumbered subgraphs and do not retain @p parent.
+     */
+    GraphPartition(std::shared_ptr<const CsrGraph> parent,
+                   unsigned chips, PartitionPolicy policy);
 
     unsigned
     numChips() const
@@ -241,7 +247,8 @@ class GraphPartition
      *  edge-balanced policy minimizes). */
     EdgeId maxOwnedEdges() const;
 
-    /** Host-memory footprint in bytes (artifact-cache accounting). */
+    /** Host-memory footprint in bytes (artifact-cache accounting);
+     *  a one-chip partition's aliased parent graph is not counted. */
     std::uint64_t footprintBytes() const;
 
   private:

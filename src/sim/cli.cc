@@ -1,5 +1,8 @@
 #include "sim/cli.hh"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
@@ -10,6 +13,10 @@ namespace sgcn
 
 Cli::Cli(int argc, char **argv)
 {
+    if (argc > 0) {
+        programName = argv[0];
+        programName.erase(0, programName.find_last_of('/') + 1);
+    }
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0) {
@@ -97,28 +104,48 @@ Cli::getBool(const std::string &name, bool fallback) const
     fatal("bad boolean flag --", name, "=", value);
 }
 
-std::vector<std::string>
-Cli::unknownFlags(const std::vector<std::string> &known) const
+void
+Cli::requireKnownFlags(const std::vector<std::string> &known,
+                       const std::string &who,
+                       const std::string &usage) const
 {
-    std::vector<std::string> unknown;
+    bool clean = true;
     for (const auto &[name, value] : flags) {
-        bool found = false;
-        for (const std::string &k : known)
-            found = found || k == name;
-        if (!found)
-            unknown.push_back(name);
+        if (std::find(known.begin(), known.end(), name) != known.end())
+            continue;
+        std::fprintf(stderr, "%s: unknown flag --%s\n", who.c_str(),
+                     name.c_str());
+        clean = false;
     }
-    return unknown;
+    if (clean)
+        return;
+    if (usage.empty()) {
+        std::fputs("accepted flags:", stderr);
+        for (const std::string &flag : known)
+            std::fprintf(stderr, " --%s", flag.c_str());
+        std::fputs("\n", stderr);
+    } else {
+        std::fputs(usage.c_str(), stderr);
+    }
+    std::exit(2);
 }
 
 double
 Cli::scale() const
 {
-    if (has("scale"))
-        return getDouble("scale", 1.0);
-    if (const char *env = std::getenv("SGCN_BENCH_SCALE"))
-        return std::strtod(env, nullptr);
-    return 1.0;
+    const char *env = std::getenv("SGCN_BENCH_SCALE");
+    if (!has("scale") && env == nullptr)
+        return 1.0;
+    const char *source = has("scale") ? "--scale" : "SGCN_BENCH_SCALE";
+    const std::string text = has("scale") ? getString("scale", "") : env;
+    char *end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !(value > 0.0) ||
+        !std::isfinite(value)) {
+        fatal("bad ", source, " value '", text,
+              "' (expected a number > 0)");
+    }
+    return value;
 }
 
 } // namespace sgcn

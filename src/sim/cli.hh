@@ -50,25 +50,35 @@ class Cli
     /** Boolean value: bare flag or explicit true/false/1/0. */
     bool getBool(const std::string &name, bool fallback) const;
 
+    /** Basename of argv[0], for messages. */
+    const std::string &program() const { return programName; }
+
     /** Positional (non-flag) arguments in order. */
     const std::vector<std::string> &positional() const
     {
         return positionalArgs;
     }
 
-    /** Flags that were given but are not in @p known, in sorted
-     *  order. Lets each tool subcommand reject typos ("--chps 4")
-     *  instead of silently ignoring them. */
-    std::vector<std::string>
-    unknownFlags(const std::vector<std::string> &known) const;
+    /**
+     * Exit 2 (a usage error) if any flag given is not in @p known:
+     * each offender is named after @p who ("sgcn_sim run: unknown
+     * flag --chps"), then @p usage is printed, or the accepted flags
+     * when it is empty. A typo like --datsets CR must never silently
+     * run the defaults.
+     */
+    void requireKnownFlags(const std::vector<std::string> &known,
+                           const std::string &who,
+                           const std::string &usage = "") const;
 
     /**
      * Global workload scale factor: 1.0 default, overridable via the
      * --scale flag or the SGCN_BENCH_SCALE environment variable.
+     * fatal() unless the value is a number > 0.
      */
     double scale() const;
 
   private:
+    std::string programName;
     std::map<std::string, std::string> flags;
     std::vector<std::string> positionalArgs;
 };

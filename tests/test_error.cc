@@ -368,37 +368,130 @@ TEST(SimCli, ExitCodesDistinguishUsageFromRuntimeErrors)
 
     // Bad flag values hit the CLI-boundary fatal(): exit 1.
     EXPECT_EQ(runSim("datasets --scale banana"), 1);
+
+    // Every binary parses through the one strict library parser, so
+    // the contract holds for the bench harnesses and the examples
+    // too: a typo such as --datsets or a flag the binary does not
+    // take (fig11 has no serve flags) exits 2 instead of silently
+    // running the defaults, and a bad --mode, --arrival or --scale
+    // exits 1 instead of running fast mode or aborting.
+    struct Case
+    {
+        std::string binary;
+        std::string args;
+        int code;
+    };
+    const std::string run = "run --dataset CR --accels SGCN ";
+    const std::string serve = "serve --dataset CR --accels SGCN ";
+    const std::vector<Case> cases{
+        {"sgcn_sim", run + "--datsets CR", 2},
+        {"sgcn_sim", run + "--requests 8", 2},
+        {"sgcn_sim", run + "--mode timnig", 1},
+        {"sgcn_sim", serve + "--arrival sometimes", 1},
+        {"sgcn_sim", serve + "--requests -1", 1},
+        {"sgcn_sim", run + "--scale 0", 1},
+        {"fig11_performance", "--datsets CR --mode timnig", 2},
+        {"fig11_performance", "--datasets CR --requests 8", 2},
+        {"fig11_performance", "--datasets CR --mode timnig", 1},
+        {"fig11_performance", "--datasets CR --scale abc", 1},
+        {"fig21_serving", "--datsets CR", 2},
+        {"fig21_serving", "--datasets CR --mode timnig", 1},
+        {"fig21_serving", "--datasets CR --arrival sometimes", 1},
+        {"fig21_serving", "--datasets CR --requests -1", 1},
+        {"fig21_serving", "--datasets CR --scale -1", 1},
+        {"example_quickstart", "--datset CR", 2},
+        {"example_quickstart", "--requests 8", 2},
+        {"example_quickstart", "--mode timnig", 1},
+        {"example_quickstart", "--scale 0", 1},
+    };
+    for (const Case &c : cases) {
+        const auto [code, err] = runCapturingStderr(c.binary, c.args);
+        if (code == -1)
+            continue;
+        SCOPED_TRACE(c.binary + " " + c.args + "\n" + err);
+        EXPECT_EQ(code, c.code);
+    }
+
+    // The scale environment variable is checked like --scale.
+    ::setenv("SGCN_BENCH_SCALE", "abc", 1);
+    for (const char *binary :
+         {"sgcn_sim", "fig11_performance", "fig21_serving",
+          "example_quickstart"}) {
+        const auto [code, err] = runCapturingStderr(
+            binary, binary == std::string("sgcn_sim") ? "datasets" : "");
+        if (code == -1)
+            continue;
+        SCOPED_TRACE(binary);
+        EXPECT_EQ(code, 1);
+        EXPECT_EQ(err, "fatal: bad SGCN_BENCH_SCALE value 'abc' "
+                       "(expected a number > 0)\n");
+    }
+    ::unsetenv("SGCN_BENCH_SCALE");
 }
 
 TEST(SimCli, NegativeCountsAreRejectedNotWrapped)
 {
-    // A negative --jobs used to wrap to 4294967295 workers; counts
-    // that must be positive reject zero as well. sgcn_sim and the
-    // bench harnesses share one check: same message, same exit 1.
-    const std::vector<std::pair<std::string, std::string>> cases{
-        {"--jobs -1", "fatal: bad --jobs value '-1' (expected an "
-                      "integer >= 0)\n"},
-        {"--chips -2", "fatal: bad --chips value '-2' (expected an "
-                       "integer >= 1)\n"},
-        {"--sampled 0", "fatal: bad --sampled value '0' (expected an "
-                        "integer >= 1)\n"},
-        {"--jobs 4294967296", "fatal: bad --jobs value '4294967296' "
-                              "(expected an integer >= 0)\n"},
+    // A negative count must not wrap to a huge unsigned one (--jobs
+    // -1 as 4294967295 workers, --requests -1 or --engines -1 as a
+    // std::bad_alloc abort); counts that must be positive reject zero
+    // as well. Every binary shares one check: same message, exit 1.
+    using Invocations = std::vector<std::pair<std::string, std::string>>;
+    const Invocations runs{
+        {"sgcn_sim", "run --dataset CR --accels SGCN "},
+        {"fig11_performance", "--datasets CR "},
+        {"fig21_serving", "--datasets CR "}};
+    const Invocations serves{
+        {"sgcn_sim", "serve --dataset CR --accels SGCN "},
+        {"fig21_serving", "--datasets CR "}};
+    const Invocations sampled_runs{
+        {"sgcn_sim", "run --dataset CR --accels SGCN "},
+        {"fig11_performance", "--datasets CR "},
+        {"example_accelerator_comparison", "--dataset CR "}};
+    const Invocations sim_runs{
+        {"sgcn_sim", "run --dataset CR --accels SGCN "}};
+    TempFile edges(".edges");
+    edges.writeText("0 1\n1 2\n2 0\n");
+    const Invocations edge_list_runs{
+        {"sgcn_sim", "run --edge-list " + edges.path + " --accels SGCN "}};
+
+    struct Case
+    {
+        std::string flag;
+        std::string message;
+        const Invocations &binaries;
+    };
+    const auto expected = [](const std::string &flag,
+                             const std::string &value, int min) {
+        return "fatal: bad --" + flag + " value '" + value +
+               "' (expected an integer >= " + std::to_string(min) +
+               ")\n";
+    };
+    const std::vector<Case> cases{
+        {"--jobs -1", expected("jobs", "-1", 0), runs},
+        {"--chips -2", expected("chips", "-2", 1), runs},
+        {"--sampled 0", expected("sampled", "0", 1), sampled_runs},
+        {"--jobs 4294967296", expected("jobs", "4294967296", 0), runs},
+        {"--requests -1", expected("requests", "-1", 1), serves},
+        {"--batch-max 0", expected("batch-max", "0", 1), serves},
+        {"--hops -1", expected("hops", "-1", 0), serves},
+        {"--fanout -2", expected("fanout", "-2", 0), serves},
+        {"--engines -1", expected("engines", "-1", 1), sim_runs},
+        {"--hidden -1", expected("hidden", "-1", 1), sim_runs},
+        {"--cache-kb 0", expected("cache-kb", "0", 1), sim_runs},
+        {"--input-width -1", expected("input-width", "-1", 1),
+         edge_list_runs},
     };
     bool ran = false;
-    for (const auto &[flag, message] : cases) {
-        for (const auto &[binary, args] :
-             std::vector<std::pair<std::string, std::string>>{
-                 {"sgcn_sim", "run --dataset CR --accels SGCN "},
-                 {"fig11_performance", "--datasets CR "}}) {
-            const auto [code, err] = runCapturingStderr(binary,
-                                                        args + flag);
+    for (const Case &c : cases) {
+        for (const auto &[binary, args] : c.binaries) {
+            const auto [code, err] =
+                runCapturingStderr(binary, args + c.flag);
             if (code == -1)
                 continue;
             ran = true;
-            SCOPED_TRACE(binary + " " + flag);
+            SCOPED_TRACE(binary + " " + c.flag);
             EXPECT_EQ(code, 1);
-            EXPECT_EQ(err, message);
+            EXPECT_EQ(err, c.message);
         }
     }
     if (!ran)

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <vector>
 
+#include "accel/stream_artifacts.hh"
 #include "fixtures.hh"
 #include "graph/partition.hh"
 
@@ -35,8 +37,9 @@ starGraph(VertexId n)
 
 struct PartitionTest : ::testing::Test
 {
-    Dataset cora = testfx::cora();
-    const CsrGraph &parent = cora.graph;
+    std::shared_ptr<const CsrGraph> shared =
+        std::make_shared<const CsrGraph>(testfx::cora().graph);
+    const CsrGraph &parent = *shared;
 };
 
 TEST_F(PartitionTest, ShardsCoverParentDisjointly)
@@ -44,7 +47,7 @@ TEST_F(PartitionTest, ShardsCoverParentDisjointly)
     for (unsigned chips : {1u, 2u, 4u, 5u}) {
         for (PartitionPolicy policy : {PartitionPolicy::Contiguous,
                                        PartitionPolicy::EdgeBalanced}) {
-            const GraphPartition partition(parent, chips, policy);
+            const GraphPartition partition(shared, chips, policy);
             ASSERT_EQ(partition.numChips(), chips);
             EXPECT_EQ(partition.numVertices(), parent.numVertices());
 
@@ -72,7 +75,7 @@ TEST_F(PartitionTest, EveryEdgeOnExactlyOneChip)
 {
     for (PartitionPolicy policy : {PartitionPolicy::Contiguous,
                                    PartitionPolicy::EdgeBalanced}) {
-        const GraphPartition partition(parent, 4, policy);
+        const GraphPartition partition(shared, 4, policy);
         EdgeId total = 0;
         for (const ChipShard &shard : partition.shards()) {
             // The chip subgraph holds exactly the owned edges: halo
@@ -90,7 +93,7 @@ TEST_F(PartitionTest, EveryEdgeOnExactlyOneChip)
 
 TEST_F(PartitionTest, SubgraphEdgesAndWeightsMatchParentRows)
 {
-    const GraphPartition partition(parent, 3,
+    const GraphPartition partition(shared, 3,
                                    PartitionPolicy::EdgeBalanced);
     for (const ChipShard &shard : partition.shards()) {
         for (VertexId v = shard.begin; v < shard.end; ++v) {
@@ -115,7 +118,7 @@ TEST_F(PartitionTest, SubgraphEdgesAndWeightsMatchParentRows)
 TEST_F(PartitionTest, HaloIsExactlyTheCrossChipInNeighbourSet)
 {
     for (unsigned chips : {2u, 4u}) {
-        const GraphPartition partition(parent, chips,
+        const GraphPartition partition(shared, chips,
                                        PartitionPolicy::EdgeBalanced);
         std::uint64_t halo_total = 0;
         for (const ChipShard &shard : partition.shards()) {
@@ -141,7 +144,7 @@ TEST_F(PartitionTest, HaloIsExactlyTheCrossChipInNeighbourSet)
 
 TEST_F(PartitionTest, EdgeBalancedBeatsContiguousOnSkew)
 {
-    const CsrGraph star = starGraph(256);
+    const auto star = std::make_shared<const CsrGraph>(starGraph(256));
     const GraphPartition contiguous(star, 4,
                                     PartitionPolicy::Contiguous);
     const GraphPartition balanced(star, 4,
@@ -153,7 +156,7 @@ TEST_F(PartitionTest, EdgeBalancedBeatsContiguousOnSkew)
 
 TEST_F(PartitionTest, SingleChipIsTheWholeGraph)
 {
-    const GraphPartition partition(parent, 1,
+    const GraphPartition partition(shared, 1,
                                    PartitionPolicy::EdgeBalanced);
     const ChipShard &shard = partition.shard(0);
     EXPECT_EQ(shard.begin, 0u);
@@ -161,8 +164,22 @@ TEST_F(PartitionTest, SingleChipIsTheWholeGraph)
     EXPECT_TRUE(shard.halo.empty());
     EXPECT_EQ(shard.ownedEdges, parent.numEdges());
     EXPECT_EQ(shard.graph->numVertices(), parent.numVertices());
-    EXPECT_EQ(shard.graph->numEdgesNoSelfLoops(),
-              parent.numEdgesNoSelfLoops());
+    // Identity renumbering: the shard aliases the parent instead of
+    // copying it, and the partition does not count it twice.
+    EXPECT_EQ(shard.graph, shared);
+    EXPECT_LT(partition.footprintBytes(), parent.footprintBytes());
+
+    // A whole-graph shard's chip masks are the parent masks, handle
+    // and key, so its layouts share the global cache entries.
+    auto &artifacts = StreamArtifactCache::instance();
+    const auto mask =
+        artifacts.randomMask(parent.numVertices(), 64, 0.5, 7);
+    for (bool include_halo : {true, false}) {
+        const auto chip =
+            artifacts.chipMask(mask, partition, 0, include_halo);
+        EXPECT_EQ(chip.mask, mask.mask);
+        EXPECT_EQ(chip.key, mask.key);
+    }
 }
 
 TEST_F(PartitionTest, PolicyByNameRoundTrips)

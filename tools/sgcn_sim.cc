@@ -21,6 +21,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "accel/personalities.hh"
@@ -28,7 +29,7 @@
 #include "accel/runner.hh"
 #include "gcn/sparsity_model.hh"
 #include "graph/io.hh"
-#include "serve/serve.hh"
+#include "serve/cli_options.hh"
 #include "sim/cli.hh"
 #include "sim/table.hh"
 #include "sim/thread_pool.hh"
@@ -52,31 +53,8 @@ splitCommas(const std::string &list)
 RunOptions
 runOptions(const Cli &cli)
 {
-    RunOptions opts;
-    const std::string mode = cli.getString("mode", "fast");
-    if (mode != "fast" && mode != "timing")
-        fatal("bad --mode '", mode, "' (expected fast|timing)");
-    opts.mode = mode == "timing" ? ExecutionMode::Timing
-                                 : ExecutionMode::Fast;
-    opts.sampledIntermediateLayers = cli.getCount("sampled", 4, 1);
+    RunOptions opts = runOptionsFromCli(cli);
     opts.includeInputLayer = cli.getBool("input-layer", true);
-    applyPipelineFlag(opts, cli.has("pipeline"),
-                      cli.getString("pipeline", ""));
-    opts.jobs = cli.getCount("jobs", hardwareJobs(), 0);
-    opts.chips = cli.getCount("chips", 1, 1);
-    opts.partitionPolicy = partitionPolicyByName(cli.getString(
-        "partition", partitionPolicyName(opts.partitionPolicy)));
-    if (cli.has("link"))
-        opts.link = linkByName(cli.getString("link", "pcie4"));
-    if (cli.has("faults")) {
-        opts.faults =
-            FaultPlan::parse(cli.getString("faults", "")).orFatal();
-    }
-    if (cli.has("degraded-mode")) {
-        opts.degradedMode =
-            parseDegradedMode(cli.getString("degraded-mode", ""))
-                .orFatal();
-    }
     return opts;
 }
 
@@ -85,7 +63,7 @@ networkSpec(const Cli &cli)
 {
     NetworkSpec net;
     net.layers = cli.getCount("layers", 28, 2);
-    net.hidden = static_cast<unsigned>(cli.getInt("hidden", 256));
+    net.hidden = cli.getCount("hidden", net.hidden, 1);
     net.residual = cli.getBool("residual", true);
     const std::string agg = cli.getString("agg", "gcn");
     if (agg == "gin") {
@@ -108,8 +86,7 @@ datasetFromCli(const Cli &cli)
                         loadEdgeList(edge_list).orFatal(), 0, 1.0};
         dataset.spec.name = "user-graph";
         dataset.spec.abbrev = "UG";
-        dataset.inputWidth = static_cast<unsigned>(
-            cli.getInt("input-width", 512));
+        dataset.inputWidth = cli.getCount("input-width", 512, 1);
         return dataset;
     }
     return instantiateDataset(
@@ -123,19 +100,61 @@ configsFromCli(const Cli &cli)
     for (const std::string &name :
          splitCommas(cli.getString("accels", "GCNAX,SGCN"))) {
         AccelConfig config = personalityByName(name);
-        config.cache.sizeBytes = static_cast<std::uint64_t>(
-            cli.getInt("cache-kb",
-                       static_cast<std::int64_t>(
-                           config.cache.sizeBytes / 1024))) *
+        config.cache.sizeBytes =
+            std::uint64_t{cli.getCount(
+                "cache-kb",
+                static_cast<unsigned>(config.cache.sizeBytes / 1024),
+                1)} *
             1024;
-        config.aggEngines = static_cast<unsigned>(
-            cli.getInt("engines", config.aggEngines));
+        config.aggEngines =
+            cli.getCount("engines", config.aggEngines, 1);
         config.combEngines = config.aggEngines;
         if (cli.getString("dram", "hbm2") == "hbm1")
             config.dram = DramConfig::hbm1();
         configs.push_back(std::move(config));
     }
     return configs;
+}
+
+/** The runs, or exit 1 with the error (a fault plan that does not
+ *  fit the run shape, a chip failure under fail-fast). */
+std::vector<RunResult>
+runsOrExit(Expected<std::vector<RunResult>> runs)
+{
+    if (!runs.ok()) {
+        std::fprintf(stderr, "sgcn_sim: %s\n",
+                     runs.error().message.c_str());
+        std::exit(1);
+    }
+    return std::move(runs.value());
+}
+
+/** A blank line, then @p line of every run. */
+void
+printRunLines(const std::vector<RunResult> &results,
+              std::string (*line)(const RunResult &))
+{
+    std::printf("\n");
+    for (const auto &run : results)
+        std::printf("%s\n", line(run).c_str());
+}
+
+/** The --stats dump and --csv export of run and serve. */
+void
+exportRuns(const Cli &cli, const std::vector<RunResult> &results)
+{
+    if (cli.has("stats")) {
+        for (const auto &run : results) {
+            std::printf("\n[%s/%s]\n", run.accelName.c_str(),
+                        run.datasetAbbrev.c_str());
+            std::fputs(runResultStats(run).dump("  ").c_str(), stdout);
+        }
+    }
+    const std::string csv = cli.getString("csv", "");
+    if (!csv.empty()) {
+        writeRunsCsv(results, csv);
+        std::printf("\nwrote %s\n", csv.c_str());
+    }
 }
 
 int
@@ -166,15 +185,8 @@ cmdRun(const Cli &cli)
                     degradedModeName(opts.degradedMode));
     }
 
-    Expected<std::vector<RunResult>> maybe_results =
-        tryRunAll(configs, dataset, net, opts);
-    if (!maybe_results.ok()) {
-        std::fprintf(stderr, "sgcn_sim: %s\n",
-                     maybe_results.error().message.c_str());
-        return 1;
-    }
     const std::vector<RunResult> results =
-        std::move(maybe_results.value());
+        runsOrExit(tryRunAll(configs, dataset, net, opts));
 
     Table table("results");
     table.header({"accel", "cycles", "offchip MB", "hit rate",
@@ -191,36 +203,13 @@ cmdRun(const Cli &cli)
     }
     table.print();
 
-    if (opts.pipelined()) {
-        std::printf("\n");
-        for (const auto &run : results) {
-            std::printf("%s\n",
-                        pipelineSummaryLine(run).c_str());
-        }
-    }
-    if (opts.chips > 1) {
-        std::printf("\n");
-        for (const auto &run : results)
-            std::printf("%s\n", shardSummaryLine(run).c_str());
-    }
-    if (opts.faults.active()) {
-        std::printf("\n");
-        for (const auto &run : results)
-            std::printf("%s\n", faultSummaryLine(run).c_str());
-    }
-
-    if (cli.has("stats")) {
-        for (const auto &run : results) {
-            std::printf("\n[%s/%s]\n", run.accelName.c_str(),
-                        run.datasetAbbrev.c_str());
-            std::fputs(runResultStats(run).dump("  ").c_str(), stdout);
-        }
-    }
-    const std::string csv = cli.getString("csv", "");
-    if (!csv.empty()) {
-        writeRunsCsv(results, csv);
-        std::printf("\nwrote %s\n", csv.c_str());
-    }
+    if (opts.pipelined())
+        printRunLines(results, pipelineSummaryLine);
+    if (opts.chips > 1)
+        printRunLines(results, shardSummaryLine);
+    if (opts.faults.active())
+        printRunLines(results, faultSummaryLine);
+    exportRuns(cli, results);
     const std::string sched_csv = cli.getString("export-schedule", "");
     if (!sched_csv.empty()) {
         // Mirror the runner's sampling so the exported rows carry
@@ -236,31 +225,6 @@ cmdRun(const Cli &cli)
     return 0;
 }
 
-ServeOptions
-serveOptions(const Cli &cli)
-{
-    ServeOptions serve;
-    serve.offeredQps = cli.getDouble("rate", serve.offeredQps);
-    serve.requests = static_cast<unsigned>(
-        cli.getInt("requests", serve.requests));
-    serve.maxBatch = static_cast<unsigned>(
-        cli.getInt("batch-max", serve.maxBatch));
-    serve.maxLingerCycles = static_cast<Cycle>(cli.getInt(
-        "linger", static_cast<std::int64_t>(serve.maxLingerCycles)));
-    serve.sample.hops = static_cast<unsigned>(
-        cli.getInt("hops", serve.sample.hops));
-    serve.sample.fanout = static_cast<unsigned>(
-        cli.getInt("fanout", serve.sample.fanout));
-    serve.sample.seed = static_cast<std::uint64_t>(cli.getInt(
-        "serve-seed", static_cast<std::int64_t>(serve.sample.seed)));
-    const std::string arrival = cli.getString("arrival", "poisson");
-    if (arrival == "fixed")
-        serve.poisson = false;
-    else if (arrival != "poisson")
-        fatal("bad --arrival '", arrival, "' (expected poisson|fixed)");
-    return serve;
-}
-
 int
 cmdServe(const Cli &cli)
 {
@@ -269,7 +233,7 @@ cmdServe(const Cli &cli)
     // The per-trace seed also keys the cached SAGE edge fractions,
     // so two serve traces with different seeds never share one.
     const RunOptions opts = runOptions(cli);
-    const ServeOptions serve = serveOptions(cli);
+    const ServeOptions serve = serveOptionsFromCli(cli);
     net.sageSeed = serve.sample.seed;
     const std::vector<AccelConfig> configs = configsFromCli(cli);
 
@@ -292,15 +256,8 @@ cmdServe(const Cli &cli)
                     degradedModeName(opts.degradedMode));
     }
 
-    Expected<std::vector<RunResult>> maybe_results =
-        tryServeAll(configs, dataset, net, opts, serve);
-    if (!maybe_results.ok()) {
-        std::fprintf(stderr, "sgcn_sim: %s\n",
-                     maybe_results.error().message.c_str());
-        return 1;
-    }
     const std::vector<RunResult> results =
-        std::move(maybe_results.value());
+        runsOrExit(tryServeAll(configs, dataset, net, opts, serve));
 
     Table table("serving trace");
     table.header({"accel", "p50 us", "p95 us", "p99 us",
@@ -320,27 +277,10 @@ cmdServe(const Cli &cli)
     }
     table.print();
 
-    std::printf("\n");
-    for (const auto &run : results)
-        std::printf("%s\n", serveSummaryLine(run).c_str());
-    if (opts.faults.active()) {
-        std::printf("\n");
-        for (const auto &run : results)
-            std::printf("%s\n", faultSummaryLine(run).c_str());
-    }
-
-    if (cli.has("stats")) {
-        for (const auto &run : results) {
-            std::printf("\n[%s/%s]\n", run.accelName.c_str(),
-                        run.datasetAbbrev.c_str());
-            std::fputs(runResultStats(run).dump("  ").c_str(), stdout);
-        }
-    }
-    const std::string csv = cli.getString("csv", "");
-    if (!csv.empty()) {
-        writeRunsCsv(results, csv);
-        std::printf("\nwrote %s\n", csv.c_str());
-    }
+    printRunLines(results, serveSummaryLine);
+    if (opts.faults.active())
+        printRunLines(results, faultSummaryLine);
+    exportRuns(cli, results);
     return 0;
 }
 
@@ -476,10 +416,7 @@ cmdGenerate(const Cli &cli)
     return 0;
 }
 
-void
-usage()
-{
-    std::fputs(
+const char *const kUsage =
         "usage: sgcn_sim <run|serve|sweep|describe|datasets|generate> "
         "[flags]\n"
         "  run       --dataset CR|...|synth:<N>[:deg<D>] or "
@@ -516,37 +453,19 @@ usage()
         "  sweep     --knob cache|engines|layers|slice --dataset ...\n"
         "  describe  --accel SGCN|GCNAX|HyGCN|AWB-GCN|EnGN|I-GCN\n"
         "  datasets  [--scale X]\n"
-        "  generate  --dataset ... --out FILE\n",
-        stderr);
-}
+        "  generate  --dataset ... --out FILE\n";
 
 /** Flags every dataset/run-shaped subcommand understands. */
 std::vector<std::string>
 sharedRunFlags()
 {
-    return {"dataset",     "edge-list", "input-width", "scale",
-            "mode",        "sampled",   "input-layer", "pipeline",
-            "jobs",        "chips",     "partition",   "link",
-            "layers",      "hidden",    "residual",    "agg",
-            "faults",      "degraded-mode"};
-}
-
-/** Reject flags the subcommand does not understand: exit 2 with the
- *  offenders named and the usage hint, instead of silently ignoring
- *  a typo like --chps 4. */
-int
-rejectUnknownFlags(const Cli &cli, const std::string &command,
-                   std::vector<std::string> known)
-{
-    const std::vector<std::string> unknown = cli.unknownFlags(known);
-    if (unknown.empty())
-        return 0;
-    for (const std::string &flag : unknown) {
-        std::fprintf(stderr, "sgcn_sim %s: unknown flag --%s\n",
-                     command.c_str(), flag.c_str());
+    std::vector<std::string> flags = runFlags();
+    for (const char *flag :
+         {"dataset", "edge-list", "input-width", "scale", "input-layer",
+          "layers", "hidden", "residual", "agg"}) {
+        flags.push_back(flag);
     }
-    usage();
-    return 2;
+    return flags;
 }
 
 } // namespace
@@ -556,56 +475,43 @@ main(int argc, char **argv)
 {
     Cli cli(argc, argv);
     if (cli.positional().size() != 1) {
-        usage();
+        std::fputs(kUsage, stderr);
         return 2;
     }
     const std::string &command = cli.positional().front();
     std::vector<std::string> known = sharedRunFlags();
-    if (command == "run") {
+    int (*handler)(const Cli &) = nullptr;
+    if (command == "run" || command == "serve") {
         for (const char *extra : {"accels", "cache-kb", "engines",
-                                  "dram", "csv", "stats",
-                                  "export-schedule"}) {
+                                  "dram", "csv", "stats"}) {
             known.push_back(extra);
         }
-        if (int rc = rejectUnknownFlags(cli, command, known))
-            return rc;
-        return cmdRun(cli);
-    }
-    if (command == "serve") {
-        for (const char *extra :
-             {"accels", "cache-kb", "engines", "dram", "csv", "stats",
-              "rate", "requests", "batch-max", "linger", "arrival",
-              "hops", "fanout", "serve-seed"}) {
-            known.push_back(extra);
+        if (command == "run") {
+            known.push_back("export-schedule");
+            handler = cmdRun;
+        } else {
+            for (const std::string &flag : serveFlags())
+                known.push_back(flag);
+            handler = cmdServe;
         }
-        if (int rc = rejectUnknownFlags(cli, command, known))
-            return rc;
-        return cmdServe(cli);
-    }
-    if (command == "sweep") {
+    } else if (command == "sweep") {
         known.push_back("knob");
-        if (int rc = rejectUnknownFlags(cli, command, known))
-            return rc;
-        return cmdSweep(cli);
-    }
-    if (command == "describe") {
-        if (int rc = rejectUnknownFlags(cli, command, {"accel"}))
-            return rc;
-        return cmdDescribe(cli);
-    }
-    if (command == "datasets") {
-        if (int rc = rejectUnknownFlags(cli, command, {"scale"}))
-            return rc;
-        return cmdDatasets(cli);
-    }
-    if (command == "generate") {
+        handler = cmdSweep;
+    } else if (command == "describe") {
+        known = {"accel"};
+        handler = cmdDescribe;
+    } else if (command == "datasets") {
+        known = {"scale"};
+        handler = cmdDatasets;
+    } else if (command == "generate") {
         known.push_back("out");
-        if (int rc = rejectUnknownFlags(cli, command, known))
-            return rc;
-        return cmdGenerate(cli);
+        handler = cmdGenerate;
+    } else {
+        std::fprintf(stderr, "sgcn_sim: unknown command '%s'\n",
+                     command.c_str());
+        std::fputs(kUsage, stderr);
+        return 2;
     }
-    std::fprintf(stderr, "sgcn_sim: unknown command '%s'\n",
-                 command.c_str());
-    usage();
-    return 2;
+    cli.requireKnownFlags(known, "sgcn_sim " + command, kUsage);
+    return handler(cli);
 }
