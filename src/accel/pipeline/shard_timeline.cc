@@ -26,10 +26,8 @@ composeChipLayers(std::span<const LayerResult> chip_layers,
     merged.combCycles = bottleneck.combCycles;
     for (const LayerResult &chip : chip_layers) {
         merged.traffic.merge(chip.traffic);
-        merged.cacheAccesses += chip.cacheAccesses;
-        merged.cacheHits += chip.cacheHits;
-        merged.macs += chip.macs;
-        merged.dramRetries += chip.dramRetries;
+        for (std::uint64_t LayerResult::*counter : LayerResult::kCounters)
+            merged.*counter += chip.*counter;
     }
 
     // The bottleneck chip's schedule, delayed by the exchange. The

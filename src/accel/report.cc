@@ -9,120 +9,182 @@
 namespace sgcn
 {
 
-std::string
-runResultCsvHeader()
+namespace
 {
-    return "accel,dataset,cycles,agg_cycles,comb_cycles,"
-           "lines_total,lines_topology,lines_feature_in,"
-           "lines_feature_out,lines_weight,lines_partial_sum,"
-           "cache_accesses,cache_hits,macs,bw_util,"
-           "energy_compute_j,energy_cache_j,energy_dram_j,"
-           "tdp_w,area_mm2,pipelined,pipeline_gating,serial_cycles,"
-           "overlap_saved_cycles,per_layer_cycles,per_tile_cycles,"
-           "tile_saved_cycles,steady_advance_cycles,"
-           "critical_phase,chips,partition_policy,link,"
-           "halo_vertices,exchange_bytes,exchange_cycles,"
-           "link_busy_cycles,link_busy_frac,"
-           "bottleneck_chip_cycles";
+
+using Run = const RunResult &;
+
+// One row per metric: CSV column, stat key, accessor. The accessor's
+// return type is the metric's kind.
+#define INT(expr) [](Run r) -> std::uint64_t { return expr; }
+#define REAL(expr) [](Run r) -> double { return expr; }
+#define TEXT(expr) [](Run r) -> std::string { return expr; }
+
+template <TrafficClass cls>
+std::uint64_t
+classLines(Run r)
+{
+    return r.total.traffic.classLines(cls);
 }
 
+constexpr MetricField kTotals[] = {
+    {"accel", nullptr, TEXT(r.accelName)},
+    {"dataset", nullptr, TEXT(r.datasetAbbrev)},
+    {"cycles", "cycles", INT(r.total.cycles)},
+    {"agg_cycles", "cycles.aggregation", INT(r.total.aggCycles)},
+    {"comb_cycles", "cycles.combination", INT(r.total.combCycles)},
+    {"lines_total", "offchip.lines", INT(r.total.traffic.totalLines())},
+    {"lines_topology", "offchip.lines.topology",
+     &classLines<TrafficClass::Topology>},
+    {"lines_feature_in", "offchip.lines.feature_in",
+     &classLines<TrafficClass::FeatureIn>},
+    {"lines_feature_out", "offchip.lines.feature_out",
+     &classLines<TrafficClass::FeatureOut>},
+    {"lines_weight", "offchip.lines.weight",
+     &classLines<TrafficClass::Weight>},
+    {"lines_partial_sum", "offchip.lines.partial_sum",
+     &classLines<TrafficClass::PartialSum>},
+    {"cache_accesses", "cache.accesses", INT(r.total.cacheAccesses)},
+    {"cache_hits", "cache.hits", INT(r.total.cacheHits)},
+    {nullptr, "cache.hit_rate", REAL(r.cacheHitRate())},
+    {"macs", "compute.macs", INT(r.total.macs)},
+    {"bw_util", "dram.bw_util", REAL(r.total.bwUtil)},
+    {"energy_compute_j", "energy.compute_j", REAL(r.energy.computeJ)},
+    {"energy_cache_j", "energy.cache_j", REAL(r.energy.cacheJ)},
+    {"energy_dram_j", "energy.dram_j", REAL(r.energy.dramJ)},
+    {nullptr, "energy.total_j", REAL(r.energy.total())},
+    {"tdp_w", "power.tdp_w", REAL(r.tdpWatts)},
+    {"area_mm2", "area.mm2", REAL(r.areaMm2)},
+};
+
+constexpr MetricField kPipeline[] = {
+    {"pipelined", nullptr, INT(r.pipeline.enabled)},
+    {"pipeline_gating", nullptr,
+     TEXT(r.pipeline.enabled ? pipelineGatingName(r.pipeline.gating)
+                             : "")},
+    {"serial_cycles", "pipeline.serial_cycles",
+     INT(r.pipeline.serialCycles)},
+    {"overlap_saved_cycles", "pipeline.overlap_saved_cycles",
+     INT(r.pipeline.overlapSavedCycles)},
+    {"per_layer_cycles", "pipeline.per_layer_cycles",
+     INT(r.pipeline.perLayerCycles)},
+    {"per_tile_cycles", "pipeline.per_tile_cycles",
+     INT(r.pipeline.perTileCycles)},
+    {"tile_saved_cycles", "pipeline.tile_saved_cycles",
+     INT(r.pipeline.tileSavedCycles)},
+    {"steady_advance_cycles", "pipeline.steady_advance_cycles",
+     INT(r.pipeline.steadyStateAdvance)},
+    {"critical_phase", nullptr,
+     TEXT(r.pipeline.enabled ? layerPhaseName(r.pipeline.criticalPhase)
+                             : "")},
+};
+
+constexpr MetricField kShard[] = {
+    {"chips", "shard.chips", INT(r.shard.chips)},
+    {"partition_policy", nullptr, TEXT(r.shard.partitionPolicy)},
+    {"link", nullptr, TEXT(r.shard.linkName)},
+    {"halo_vertices", "shard.halo_vertices", INT(r.shard.haloVertices)},
+    {"exchange_bytes", "shard.exchange_bytes", INT(r.shard.exchangeBytes)},
+    {"exchange_cycles", "shard.exchange_cycles",
+     INT(r.shard.exchangeCycles)},
+    {"link_busy_cycles", "shard.link_busy_cycles",
+     INT(r.shard.linkBusyCycles)},
+    {"link_busy_frac", "shard.link_busy_frac",
+     REAL(r.shard.linkBusyFraction)},
+    {"bottleneck_chip_cycles", "shard.bottleneck_chip_cycles",
+     INT(r.shard.bottleneckChipCycles)},
+};
+
+/** The canonical spec separates clauses with ','; the CSV cell uses
+ *  ';' so the row's arity stays intact. */
 std::string
-runResultCsvRow(const RunResult &run)
+faultSpecCell(Run r)
 {
-    std::ostringstream os;
-    os << run.accelName << ',' << run.datasetAbbrev << ','
-       << run.total.cycles << ',' << run.total.aggCycles << ','
-       << run.total.combCycles << ','
-       << run.total.traffic.totalLines();
-    for (unsigned c = 0; c < kNumTrafficClasses; ++c) {
-        os << ','
-           << run.total.traffic.classLines(
-                  static_cast<TrafficClass>(c));
-    }
-    os << ',' << run.total.cacheAccesses << ',' << run.total.cacheHits
-       << ',' << run.total.macs << ',' << run.total.bwUtil << ','
-       << run.energy.computeJ << ',' << run.energy.cacheJ << ','
-       << run.energy.dramJ << ',' << run.tdpWatts << ','
-       << run.areaMm2 << ',' << (run.pipeline.enabled ? 1 : 0) << ','
-       << (run.pipeline.enabled
-               ? pipelineGatingName(run.pipeline.gating)
-               : "")
-       << ',' << run.pipeline.serialCycles << ','
-       << run.pipeline.overlapSavedCycles << ','
-       << run.pipeline.perLayerCycles << ','
-       << run.pipeline.perTileCycles << ','
-       << run.pipeline.tileSavedCycles << ','
-       << run.pipeline.steadyStateAdvance << ','
-       << (run.pipeline.enabled
-               ? layerPhaseName(run.pipeline.criticalPhase)
-               : "")
-       << ',' << run.shard.chips << ','
-       << run.shard.partitionPolicy << ',' << run.shard.linkName
-       << ',' << run.shard.haloVertices << ','
-       << run.shard.exchangeBytes << ',' << run.shard.exchangeCycles
-       << ',' << run.shard.linkBusyCycles << ','
-       << run.shard.linkBusyFraction << ','
-       << run.shard.bottleneckChipCycles;
-    return os.str();
+    std::string spec = r.faults.spec;
+    std::replace(spec.begin(), spec.end(), ',', ';');
+    return spec;
 }
 
-std::string
-faultCsvHeaderSuffix()
+constexpr MetricField kFaults[] = {
+    {"faults", nullptr, INT(r.faults.enabled)},
+    {"fault_spec", nullptr, &faultSpecCell},
+    {"fault_seed", nullptr, INT(r.faults.seed)},
+    {"degraded_mode", nullptr, TEXT(r.faults.degradedMode)},
+    {"link_retries", "fault.link_retries", INT(r.faults.linkRetries)},
+    {"backoff_cycles", "fault.backoff_cycles",
+     INT(r.faults.backoffCycles)},
+    {"link_timeouts", "fault.link_timeouts", INT(r.faults.timeouts)},
+    {"dram_retries", "fault.dram_retries", INT(r.faults.dramRetries)},
+    {"stall_cycles", "fault.stall_cycles", INT(r.faults.stallCycles)},
+    {"recovery_cycles", "fault.recovery_cycles",
+     INT(r.faults.recoveryCycles)},
+    {"failed_chips", "fault.failed_chips", INT(r.faults.failedChips)},
+    {"surviving_chips", "fault.surviving_chips",
+     INT(r.faults.survivingChips)},
+    {"repartitions", "fault.repartitions", INT(r.faults.repartitions)},
+    {nullptr, "fault.recovered_layers",
+     INT(r.faults.recoveredLayers.size())},
+};
+
+constexpr MetricField kServe[] = {
+    {"serve_requests", "serve.requests", INT(r.serve.requests)},
+    {"serve_batches", "serve.batches", INT(r.serve.batches)},
+    {"serve_arrival", nullptr,
+     TEXT(r.serve.enabled ? (r.serve.poisson ? "poisson" : "fixed")
+                          : "")},
+    {"serve_offered_qps", "serve.offered_qps", REAL(r.serve.offeredQps)},
+    {"serve_max_batch", nullptr, INT(r.serve.maxBatch)},
+    {"serve_linger_cycles", nullptr, INT(r.serve.maxLingerCycles)},
+    {"serve_p50_cycles", "serve.p50_cycles", INT(r.serve.p50Cycles)},
+    {"serve_p95_cycles", "serve.p95_cycles", INT(r.serve.p95Cycles)},
+    {"serve_p99_cycles", "serve.p99_cycles", INT(r.serve.p99Cycles)},
+    {"serve_qps", "serve.sustained_qps", REAL(r.serve.sustainedQps)},
+    {"serve_mean_batch", "serve.mean_batch", REAL(r.serve.meanOccupancy)},
+    {"serve_peak_batch", "serve.peak_batch", INT(r.serve.peakOccupancy)},
+    {"serve_makespan_cycles", "serve.makespan_cycles",
+     INT(r.serve.makespanCycles)},
+    {"serve_subgraph_vertices", "serve.subgraph_vertices",
+     INT(r.serve.subgraphVertices)},
+    {"serve_subgraph_edges", "serve.subgraph_edges",
+     INT(r.serve.subgraphEdges)},
+};
+
+#undef INT
+#undef REAL
+#undef TEXT
+
+constexpr MetricBlock kBlocks[] = {
+    {CsvColumns::Always, [](Run) { return true; }, kTotals},
+    {CsvColumns::Always, [](Run r) { return r.pipeline.enabled; },
+     kPipeline},
+    {CsvColumns::Always, [](Run r) { return r.shard.enabled; }, kShard},
+    {CsvColumns::WhenAnyRunHasIt, [](Run r) { return r.faults.enabled; },
+     kFaults},
+    {CsvColumns::WhenAnyRunHasIt, [](Run r) { return r.serve.enabled; },
+     kServe},
+};
+
+/** Every kind through operator<<: integers exactly, reals at the
+ *  stream's default precision. */
+void
+printMetric(std::ostream &os, const MetricValue &value)
 {
-    return ",faults,fault_spec,fault_seed,degraded_mode,"
-           "link_retries,backoff_cycles,link_timeouts,dram_retries,"
-           "stall_cycles,recovery_cycles,failed_chips,"
-           "surviving_chips,repartitions";
+    std::visit([&](const auto &v) { os << v; }, value);
 }
 
-std::string
-faultCsvRowSuffix(const RunResult &run)
+} // anonymous namespace
+
+MetricValue
+MetricField::value(const RunResult &run) const
 {
-    const FaultStats &f = run.faults;
-    // The canonical spec separates clauses with ',' — re-separate
-    // with ';' inside the CSV cell so row arity stays intact.
-    std::string spec = f.spec;
-    for (char &ch : spec) {
-        if (ch == ',')
-            ch = ';';
-    }
-    std::ostringstream os;
-    os << ',' << (f.enabled ? 1 : 0) << ',' << spec << ',' << f.seed
-       << ','
-       << f.degradedMode << ',' << f.linkRetries << ','
-       << f.backoffCycles << ',' << f.timeouts << ','
-       << f.dramRetries << ',' << f.stallCycles << ','
-       << f.recoveryCycles << ',' << f.failedChips << ','
-       << f.survivingChips << ',' << f.repartitions;
-    return os.str();
+    return std::visit([&](auto getter) -> MetricValue { return getter(run); },
+                      get);
 }
 
-std::string
-serveCsvHeaderSuffix()
+std::span<const MetricBlock>
+metricBlocks()
 {
-    return ",serve_requests,serve_batches,serve_arrival,"
-           "serve_offered_qps,serve_max_batch,serve_linger_cycles,"
-           "serve_p50_cycles,serve_p95_cycles,serve_p99_cycles,"
-           "serve_qps,serve_mean_batch,serve_peak_batch,"
-           "serve_makespan_cycles,serve_subgraph_vertices,"
-           "serve_subgraph_edges";
-}
-
-std::string
-serveCsvRowSuffix(const RunResult &run)
-{
-    const ServeStats &s = run.serve;
-    const char *arrival =
-        s.enabled ? (s.poisson ? "poisson" : "fixed") : "";
-    std::ostringstream os;
-    os << ',' << s.requests << ',' << s.batches << ',' << arrival
-       << ',' << s.offeredQps << ',' << s.maxBatch << ','
-       << s.maxLingerCycles << ',' << s.p50Cycles << ','
-       << s.p95Cycles << ',' << s.p99Cycles << ',' << s.sustainedQps
-       << ',' << s.meanOccupancy << ',' << s.peakOccupancy << ','
-       << s.makespanCycles << ',' << s.subgraphVertices << ','
-       << s.subgraphEdges;
-    return os.str();
+    return kBlocks;
 }
 
 void
@@ -132,134 +194,54 @@ writeRunsCsv(const std::vector<RunResult> &runs,
     std::ofstream out(path);
     if (!out)
         fatal("cannot write CSV: ", path);
-    // Fault (serve) columns appear only when some run injected
-    // faults (served a trace) — and then on every row, so mixed
-    // sweeps stay rectangular. Plain sweep CSVs stay byte-identical
-    // to pre-fault/pre-serve output.
-    bool any_faults = false;
-    bool any_serve = false;
-    for (const auto &run : runs) {
-        any_faults = any_faults || run.faults.enabled;
-        any_serve = any_serve || run.serve.enabled;
+    std::vector<const MetricField *> columns;
+    for (const MetricBlock &block : kBlocks) {
+        if (block.csv == CsvColumns::WhenAnyRunHasIt &&
+            std::none_of(runs.begin(), runs.end(), block.enabled)) {
+            continue;
+        }
+        for (const MetricField &field : block.fields) {
+            if (field.csv)
+                columns.push_back(&field);
+        }
     }
-    out << runResultCsvHeader();
-    if (any_faults)
-        out << faultCsvHeaderSuffix();
-    if (any_serve)
-        out << serveCsvHeaderSuffix();
+    for (std::size_t i = 0; i < columns.size(); ++i)
+        out << (i ? "," : "") << columns[i]->csv;
     out << '\n';
-    for (const auto &run : runs) {
-        out << runResultCsvRow(run);
-        if (any_faults)
-            out << faultCsvRowSuffix(run);
-        if (any_serve)
-            out << serveCsvRowSuffix(run);
+    for (const RunResult &run : runs) {
+        for (std::size_t i = 0; i < columns.size(); ++i) {
+            out << (i ? "," : "");
+            printMetric(out, columns[i]->value(run));
+        }
         out << '\n';
     }
 }
 
-StatSet
+std::map<std::string, MetricValue>
 runResultStats(const RunResult &run)
 {
-    StatSet stats;
-    stats["cycles"] = static_cast<double>(run.total.cycles);
-    stats["cycles.aggregation"] =
-        static_cast<double>(run.total.aggCycles);
-    stats["cycles.combination"] =
-        static_cast<double>(run.total.combCycles);
-    stats["offchip.lines"] =
-        static_cast<double>(run.total.traffic.totalLines());
-    for (unsigned c = 0; c < kNumTrafficClasses; ++c) {
-        const auto cls = static_cast<TrafficClass>(c);
-        stats[std::string("offchip.lines.") + trafficClassName(cls)] =
-            static_cast<double>(run.total.traffic.classLines(cls));
-    }
-    stats["cache.accesses"] =
-        static_cast<double>(run.total.cacheAccesses);
-    stats["cache.hits"] = static_cast<double>(run.total.cacheHits);
-    stats["cache.hit_rate"] = run.cacheHitRate();
-    stats["compute.macs"] = static_cast<double>(run.total.macs);
-    stats["dram.bw_util"] = run.total.bwUtil;
-    stats["energy.compute_j"] = run.energy.computeJ;
-    stats["energy.cache_j"] = run.energy.cacheJ;
-    stats["energy.dram_j"] = run.energy.dramJ;
-    stats["energy.total_j"] = run.energy.total();
-    stats["power.tdp_w"] = run.tdpWatts;
-    stats["area.mm2"] = run.areaMm2;
-    if (run.pipeline.enabled) {
-        stats["pipeline.serial_cycles"] =
-            static_cast<double>(run.pipeline.serialCycles);
-        stats["pipeline.overlap_saved_cycles"] =
-            static_cast<double>(run.pipeline.overlapSavedCycles);
-        stats["pipeline.per_layer_cycles"] =
-            static_cast<double>(run.pipeline.perLayerCycles);
-        stats["pipeline.per_tile_cycles"] =
-            static_cast<double>(run.pipeline.perTileCycles);
-        stats["pipeline.tile_saved_cycles"] =
-            static_cast<double>(run.pipeline.tileSavedCycles);
-        stats["pipeline.steady_advance_cycles"] =
-            static_cast<double>(run.pipeline.steadyStateAdvance);
-    }
-    if (run.shard.enabled) {
-        stats["shard.chips"] = static_cast<double>(run.shard.chips);
-        stats["shard.halo_vertices"] =
-            static_cast<double>(run.shard.haloVertices);
-        stats["shard.exchange_bytes"] =
-            static_cast<double>(run.shard.exchangeBytes);
-        stats["shard.exchange_cycles"] =
-            static_cast<double>(run.shard.exchangeCycles);
-        stats["shard.link_busy_cycles"] =
-            static_cast<double>(run.shard.linkBusyCycles);
-        stats["shard.link_busy_frac"] = run.shard.linkBusyFraction;
-        stats["shard.bottleneck_chip_cycles"] =
-            static_cast<double>(run.shard.bottleneckChipCycles);
-    }
-    if (run.faults.enabled) {
-        stats["fault.link_retries"] =
-            static_cast<double>(run.faults.linkRetries);
-        stats["fault.backoff_cycles"] =
-            static_cast<double>(run.faults.backoffCycles);
-        stats["fault.link_timeouts"] =
-            static_cast<double>(run.faults.timeouts);
-        stats["fault.dram_retries"] =
-            static_cast<double>(run.faults.dramRetries);
-        stats["fault.stall_cycles"] =
-            static_cast<double>(run.faults.stallCycles);
-        stats["fault.recovery_cycles"] =
-            static_cast<double>(run.faults.recoveryCycles);
-        stats["fault.failed_chips"] =
-            static_cast<double>(run.faults.failedChips);
-        stats["fault.surviving_chips"] =
-            static_cast<double>(run.faults.survivingChips);
-        stats["fault.repartitions"] =
-            static_cast<double>(run.faults.repartitions);
-        stats["fault.recovered_layers"] =
-            static_cast<double>(run.faults.recoveredLayers.size());
-    }
-    if (run.serve.enabled) {
-        stats["serve.requests"] =
-            static_cast<double>(run.serve.requests);
-        stats["serve.batches"] =
-            static_cast<double>(run.serve.batches);
-        stats["serve.offered_qps"] = run.serve.offeredQps;
-        stats["serve.sustained_qps"] = run.serve.sustainedQps;
-        stats["serve.p50_cycles"] =
-            static_cast<double>(run.serve.p50Cycles);
-        stats["serve.p95_cycles"] =
-            static_cast<double>(run.serve.p95Cycles);
-        stats["serve.p99_cycles"] =
-            static_cast<double>(run.serve.p99Cycles);
-        stats["serve.mean_batch"] = run.serve.meanOccupancy;
-        stats["serve.peak_batch"] =
-            static_cast<double>(run.serve.peakOccupancy);
-        stats["serve.makespan_cycles"] =
-            static_cast<double>(run.serve.makespanCycles);
-        stats["serve.subgraph_vertices"] =
-            static_cast<double>(run.serve.subgraphVertices);
-        stats["serve.subgraph_edges"] =
-            static_cast<double>(run.serve.subgraphEdges);
+    std::map<std::string, MetricValue> stats;
+    for (const MetricBlock &block : kBlocks) {
+        if (!block.enabled(run))
+            continue;
+        for (const MetricField &field : block.fields) {
+            if (field.stat)
+                stats.emplace(field.stat, field.value(run));
+        }
     }
     return stats;
+}
+
+std::string
+statsDump(const RunResult &run, const std::string &indent)
+{
+    std::ostringstream os;
+    for (const auto &[key, value] : runResultStats(run)) {
+        os << indent << key << " = ";
+        printMetric(os, value);
+        os << '\n';
+    }
+    return os.str();
 }
 
 std::string

@@ -1,57 +1,89 @@
 /**
  * @file
- * Machine-readable result export: CSV rows and a gem5-style StatSet
- * dump for RunResults, so harness outputs can be plotted or diffed
- * without scraping the pretty tables.
+ * Machine-readable result export. Every metric a run exports is
+ * declared once, as one row of a field table (metricBlocks()): its
+ * CSV column, its --stats key and a typed accessor. The run CSV and
+ * the --stats dump both read the table, so the two cannot drift, and
+ * integer metrics print exactly in both. The one-line summaries and
+ * the schedule CSV are written by hand.
  */
 
 #ifndef SGCN_ACCEL_REPORT_HH
 #define SGCN_ACCEL_REPORT_HH
 
+#include <cstdint>
+#include <map>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "accel/result.hh"
-#include "sim/stats.hh"
 
 namespace sgcn
 {
 
-/** CSV header matching runResultCsvRow(). */
-std::string runResultCsvHeader();
+/** One exported value: an exact integer, a real, or text. */
+using MetricValue = std::variant<std::uint64_t, double, std::string>;
 
-/** One CSV row for a run. */
-std::string runResultCsvRow(const RunResult &run);
+/** One exported metric: a row of a field table. */
+struct MetricField
+{
+    template <typename T>
+    using Getter = T (*)(const RunResult &);
 
-/** Extra header fragment for fault-injection columns (leading comma
- *  included). Appended by writeRunsCsv only when some run actually
- *  injected faults, so fault-free CSVs stay byte-identical to
- *  pre-fault releases. */
-std::string faultCsvHeaderSuffix();
+    /** CSV column name (nullptr: not a CSV column). */
+    const char *csv;
 
-/** Fault-column values for one run, matching faultCsvHeaderSuffix()
- *  (leading comma included; all-zero columns when the run itself was
- *  fault-free). */
-std::string faultCsvRowSuffix(const RunResult &run);
+    /** --stats key (nullptr: not a stat). */
+    const char *stat;
 
-/** Extra header fragment for serving-trace columns (leading comma
- *  included). Appended by writeRunsCsv only when some run served a
- *  trace, under the same mixed-sweep policy as the fault columns. */
-std::string serveCsvHeaderSuffix();
+    /** Accessor; the type it returns is the metric's kind. */
+    std::variant<Getter<std::uint64_t>, Getter<double>,
+                 Getter<std::string>>
+        get;
 
-/** Serve-column values for one run, matching serveCsvHeaderSuffix()
- *  (leading comma included; all-zero columns when the run itself
- *  did not serve). */
-std::string serveCsvRowSuffix(const RunResult &run);
+    /** The metric's value for @p run. */
+    MetricValue value(const RunResult &run) const;
+};
 
-/** Write runs as a CSV file (header + one row per run). Fault and
- *  serve columns are appended — for every row, so mixed sweeps stay
- *  rectangular — when any run has the matching stats enabled. */
+/** When a block's CSV columns are written. */
+enum class CsvColumns : std::uint8_t
+{
+    /** On every export. */
+    Always,
+    /** Only when some run of the export has the block enabled, and
+     *  then on every row, so mixed sweeps stay rectangular. */
+    WhenAnyRunHasIt,
+};
+
+/** The metrics of one part of a RunResult (totals, pipeline, ...). */
+struct MetricBlock
+{
+    CsvColumns csv;
+
+    /** The run has this block; gates the block's --stats keys. */
+    bool (*enabled)(const RunResult &);
+
+    std::span<const MetricField> fields;
+};
+
+/** The field tables in CSV column order: totals, pipeline, shard,
+ *  fault, serve. */
+std::span<const MetricBlock> metricBlocks();
+
+/** Write runs as a CSV file: a header and one row per run. */
 void writeRunsCsv(const std::vector<RunResult> &runs,
                   const std::string &path);
 
-/** Flatten a run into named scalar statistics. */
-StatSet runResultStats(const RunResult &run);
+/** The run's --stats values by key: every stat-keyed field of each
+ *  block the run has enabled. */
+std::map<std::string, MetricValue> runResultStats(const RunResult &run);
+
+/** runResultStats() as "key = value" lines sorted by key, each after
+ *  @p indent. Integers print exactly, reals with default precision. */
+std::string statsDump(const RunResult &run,
+                      const std::string &indent = "");
 
 /** One-line pipelining summary ("" when the run was serial). */
 std::string pipelineSummaryLine(const RunResult &run);

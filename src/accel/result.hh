@@ -367,6 +367,12 @@ struct LayerResult
      *  dram-retry fault is active and the run is timing-mode). */
     std::uint64_t dramRetries = 0;
 
+    /** The work counters: summed by merge(), scaled by scale(), and
+     *  summed across chips by composeChipLayers(). */
+    static constexpr std::uint64_t LayerResult::*kCounters[] = {
+        &LayerResult::cacheAccesses, &LayerResult::cacheHits,
+        &LayerResult::macs, &LayerResult::dramRetries};
+
     /** Fraction of DRAM bandwidth used over the layer. */
     double bwUtil = 0.0;
 
@@ -382,10 +388,8 @@ struct LayerResult
         aggCycles += other.aggCycles;
         combCycles += other.combCycles;
         traffic.merge(other.traffic);
-        cacheAccesses += other.cacheAccesses;
-        cacheHits += other.cacheHits;
-        macs += other.macs;
-        dramRetries += other.dramRetries;
+        for (std::uint64_t LayerResult::*counter : kCounters)
+            this->*counter += other.*counter;
     }
 
     /** Scale all additive quantities by @p factor. */
@@ -404,14 +408,10 @@ struct LayerResult
             traffic.writeLines[i] = static_cast<std::uint64_t>(
                 static_cast<double>(traffic.writeLines[i]) * factor);
         }
-        cacheAccesses = static_cast<std::uint64_t>(
-            static_cast<double>(cacheAccesses) * factor);
-        cacheHits = static_cast<std::uint64_t>(
-            static_cast<double>(cacheHits) * factor);
-        macs = static_cast<std::uint64_t>(
-            static_cast<double>(macs) * factor);
-        dramRetries = static_cast<std::uint64_t>(
-            static_cast<double>(dramRetries) * factor);
+        for (std::uint64_t LayerResult::*counter : kCounters) {
+            this->*counter = static_cast<std::uint64_t>(
+                static_cast<double>(this->*counter) * factor);
+        }
     }
 };
 

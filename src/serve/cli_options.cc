@@ -89,13 +89,12 @@ serveOptionsFromCli(const Cli &cli)
     }
     serve.requests = cli.getCount("requests", serve.requests, 1);
     serve.maxBatch = cli.getCount("batch-max", serve.maxBatch, 1);
-    serve.maxLingerCycles = static_cast<Cycle>(cli.getInt(
-        "linger", static_cast<std::int64_t>(serve.maxLingerCycles)));
+    serve.maxLingerCycles =
+        cli.getUnsigned("linger", serve.maxLingerCycles);
     serve.sample.hops = cli.getCount("hops", serve.sample.hops, 0);
     serve.sample.fanout =
         cli.getCount("fanout", serve.sample.fanout, 0);
-    serve.sample.seed = static_cast<std::uint64_t>(cli.getInt(
-        "serve-seed", static_cast<std::int64_t>(serve.sample.seed)));
+    serve.sample.seed = cli.getUnsigned("serve-seed", serve.sample.seed);
     const std::string arrival = cli.getString("arrival", "poisson");
     if (arrival != "poisson" && arrival != "fixed")
         fatal("bad --arrival '", arrival, "' (expected poisson|fixed)");

@@ -1,6 +1,7 @@
 #include "sim/cli.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -49,17 +50,22 @@ Cli::getString(const std::string &name, const std::string &fallback) const
     return it == flags.end() ? fallback : it->second;
 }
 
-std::int64_t
-Cli::getInt(const std::string &name, std::int64_t fallback) const
+std::uint64_t
+Cli::getUnsigned(const std::string &name, std::uint64_t fallback,
+                 std::uint64_t min, std::uint64_t max) const
 {
-    auto it = flags.find(name);
-    if (it == flags.end() || it->second.empty())
+    const std::string text = getString(name, "");
+    if (text.empty())
         return fallback;
+    // strtoull reads "-1" as a wrapped 2^64 - 1: reject any minus.
     char *end = nullptr;
-    const std::int64_t value =
-        std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("bad integer flag --", name, "=", it->second);
+    errno = 0;
+    const std::uint64_t value = std::strtoull(text.c_str(), &end, 0);
+    if (text.find('-') != std::string::npos || *end != '\0' ||
+        errno == ERANGE || value < min || value > max) {
+        fatal("bad --", name, " value '", text,
+              "' (expected an integer >= ", min, ")");
+    }
     return value;
 }
 
@@ -67,12 +73,8 @@ unsigned
 Cli::getCount(const std::string &name, unsigned fallback,
               unsigned min) const
 {
-    const std::int64_t value = getInt(name, fallback);
-    if (value < min || value > std::numeric_limits<unsigned>::max()) {
-        fatal("bad --", name, " value '", getString(name, ""),
-              "' (expected an integer >= ", min, ")");
-    }
-    return static_cast<unsigned>(value);
+    return static_cast<unsigned>(getUnsigned(
+        name, fallback, min, std::numeric_limits<unsigned>::max()));
 }
 
 double

@@ -32,15 +32,18 @@ class Cli
     std::string getString(const std::string &name,
                           const std::string &fallback) const;
 
-    /** Integer value of a flag, or @p fallback. */
-    std::int64_t getInt(const std::string &name,
-                        std::int64_t fallback) const;
-
     /**
-     * Count-valued flag (--jobs, --chips, ...), or @p fallback.
-     * fatal() unless the value is an integer in [@p min, UINT_MAX],
-     * so a negative count cannot wrap to a huge unsigned one.
+     * Unsigned flag (--linger, --serve-seed, ...), or @p fallback.
+     * fatal() unless the value is an integer in [@p min, @p max], so
+     * a negative value cannot wrap to a huge unsigned one.
      */
+    std::uint64_t
+    getUnsigned(const std::string &name, std::uint64_t fallback,
+                std::uint64_t min = 0,
+                std::uint64_t max = UINT64_MAX) const;
+
+    /** Count-valued flag (--jobs, --chips, ...), or @p fallback:
+     *  getUnsigned() limited to [@p min, UINT_MAX]. */
     unsigned getCount(const std::string &name, unsigned fallback,
                       unsigned min) const;
 

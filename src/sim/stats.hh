@@ -1,96 +1,15 @@
 /**
  * @file
- * Lightweight statistics: named scalar counters, histograms, and
- * small math helpers (geometric mean) used throughout the simulator
- * and the benchmark harnesses.
+ * Small math helpers for the harnesses: the geometric mean.
  */
 
 #ifndef SGCN_SIM_STATS_HH
 #define SGCN_SIM_STATS_HH
 
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace sgcn
 {
-
-/**
- * A set of named scalar statistics.
- *
- * Components expose their counters through a StatSet so benches can
- * dump everything uniformly. Lookup creates missing entries at zero.
- */
-class StatSet
-{
-  public:
-    /** Mutable access; creates the stat at zero if absent. */
-    double &operator[](const std::string &name) { return values[name]; }
-
-    /** Read-only access; returns 0 for absent stats. */
-    double get(const std::string &name) const;
-
-    /** Add every entry of @p other into this set. */
-    void merge(const StatSet &other);
-
-    /** All entries in name order. */
-    const std::map<std::string, double> &entries() const
-    {
-        return values;
-    }
-
-    /** Render as "name = value" lines with the given indent. */
-    std::string dump(const std::string &indent = "") const;
-
-    /** Remove all entries. */
-    void clear() { values.clear(); }
-
-  private:
-    std::map<std::string, double> values;
-};
-
-/**
- * Fixed-bucket histogram for distributions such as per-slice
- * non-zero counts or DRAM queue latencies.
- */
-class Histogram
-{
-  public:
-    /** Buckets cover [lo, hi) uniformly; outliers go to end buckets. */
-    Histogram(double lo, double hi, unsigned num_buckets);
-
-    /** Record one sample. */
-    void sample(double value);
-
-    /** Number of samples recorded. */
-    std::uint64_t count() const { return total; }
-
-    /** Mean of recorded samples. */
-    double mean() const;
-
-    /** Standard deviation of recorded samples. */
-    double stddev() const;
-
-    /** Minimum recorded sample (0 if empty). */
-    double minValue() const { return total ? minSeen : 0.0; }
-
-    /** Maximum recorded sample (0 if empty). */
-    double maxValue() const { return total ? maxSeen : 0.0; }
-
-    /** Per-bucket counts. */
-    const std::vector<std::uint64_t> &buckets() const { return counts; }
-
-  private:
-    double lower;
-    double upper;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t total = 0;
-    double sum = 0.0;
-    double sumSq = 0.0;
-    double minSeen = 0.0;
-    double maxSeen = 0.0;
-};
 
 /** Geometric mean of a vector of positive values. */
 double geomean(const std::vector<double> &values);

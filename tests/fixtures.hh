@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "accel/personalities.hh"
+#include "accel/report.hh"
 #include "accel/result.hh"
 #include "graph/datasets.hh"
 
@@ -56,7 +57,8 @@ combFirstPersonality()
     return config;
 }
 
-/** Work counts (traffic, cache, MACs) are bit-identical. */
+/** Work counts (traffic and every LayerResult::kCounters entry)
+ *  are bit-identical. */
 inline void
 expectCountsIdentical(const LayerResult &a, const LayerResult &b)
 {
@@ -64,9 +66,8 @@ expectCountsIdentical(const LayerResult &a, const LayerResult &b)
         EXPECT_EQ(a.traffic.readLines[c], b.traffic.readLines[c]);
         EXPECT_EQ(a.traffic.writeLines[c], b.traffic.writeLines[c]);
     }
-    EXPECT_EQ(a.cacheAccesses, b.cacheAccesses);
-    EXPECT_EQ(a.cacheHits, b.cacheHits);
-    EXPECT_EQ(a.macs, b.macs);
+    for (std::uint64_t LayerResult::*counter : LayerResult::kCounters)
+        EXPECT_EQ(a.*counter, b.*counter);
 }
 
 /** Every layer quantity — counts and cycles — is bit-identical. */
@@ -98,6 +99,24 @@ expectRunIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.energy.dramJ, b.energy.dramJ);
     EXPECT_EQ(a.tdpWatts, b.tdpWatts);
     EXPECT_EQ(a.areaMm2, b.areaMm2);
+}
+
+/** Every exported metric is identical: each field of the report's
+ *  field tables, compared as a typed value (doubles exactly), plus
+ *  the vectors the tables do not export. */
+inline void
+expectMetricsIdentical(const RunResult &a, const RunResult &b)
+{
+    for (const MetricBlock &block : metricBlocks()) {
+        EXPECT_EQ(block.enabled(a), block.enabled(b));
+        for (const MetricField &field : block.fields) {
+            EXPECT_EQ(field.value(a), field.value(b))
+                << (field.csv ? field.csv : field.stat);
+        }
+    }
+    EXPECT_EQ(a.faults.recoveredLayers, b.faults.recoveredLayers);
+    EXPECT_EQ(a.shard.chipCycles, b.shard.chipCycles);
+    EXPECT_EQ(a.shard.chipIds, b.shard.chipIds);
 }
 
 } // namespace sgcn::testfx

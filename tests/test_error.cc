@@ -475,6 +475,10 @@ TEST(SimCli, NegativeCountsAreRejectedNotWrapped)
         {"--batch-max 0", expected("batch-max", "0", 1), serves},
         {"--hops -1", expected("hops", "-1", 0), serves},
         {"--fanout -2", expected("fanout", "-2", 0), serves},
+        {"--linger -1", expected("linger", "-1", 0), serves},
+        {"--linger 18446744073709551616",
+         expected("linger", "18446744073709551616", 0), serves},
+        {"--serve-seed -5", expected("serve-seed", "-5", 0), serves},
         {"--engines -1", expected("engines", "-1", 1), sim_runs},
         {"--hidden -1", expected("hidden", "-1", 1), sim_runs},
         {"--cache-kb 0", expected("cache-kb", "0", 1), sim_runs},

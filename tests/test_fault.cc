@@ -32,6 +32,7 @@ namespace
 {
 
 using testfx::expectCountsIdentical;
+using testfx::expectMetricsIdentical;
 using testfx::expectRunIdentical;
 
 FaultPlan
@@ -40,25 +41,6 @@ plan(const std::string &spec)
     Expected<FaultPlan> parsed = FaultPlan::parse(spec);
     EXPECT_TRUE(parsed.ok()) << spec;
     return std::move(parsed).orFatal();
-}
-
-void
-expectFaultStatsIdentical(const FaultStats &a, const FaultStats &b)
-{
-    EXPECT_EQ(a.enabled, b.enabled);
-    EXPECT_EQ(a.spec, b.spec);
-    EXPECT_EQ(a.seed, b.seed);
-    EXPECT_EQ(a.degradedMode, b.degradedMode);
-    EXPECT_EQ(a.linkRetries, b.linkRetries);
-    EXPECT_EQ(a.backoffCycles, b.backoffCycles);
-    EXPECT_EQ(a.timeouts, b.timeouts);
-    EXPECT_EQ(a.dramRetries, b.dramRetries);
-    EXPECT_EQ(a.stallCycles, b.stallCycles);
-    EXPECT_EQ(a.recoveryCycles, b.recoveryCycles);
-    EXPECT_EQ(a.failedChips, b.failedChips);
-    EXPECT_EQ(a.survivingChips, b.survivingChips);
-    EXPECT_EQ(a.repartitions, b.repartitions);
-    EXPECT_EQ(a.recoveredLayers, b.recoveredLayers);
 }
 
 // --------------------------------------------------------------
@@ -175,9 +157,7 @@ TEST_F(FaultRuns, TimelineAndCsvAreJobsInvariant)
         const RunResult a = runNetwork(makeSgcn(), cora, net, serial);
         const RunResult b = runNetwork(makeSgcn(), cora, net, fanned);
         expectRunIdentical(a, b);
-        expectFaultStatsIdentical(a.faults, b.faults);
-        EXPECT_EQ(runResultCsvRow(a) + faultCsvRowSuffix(a),
-                  runResultCsvRow(b) + faultCsvRowSuffix(b));
+        expectMetricsIdentical(a, b);
     }
 }
 
@@ -211,7 +191,7 @@ TEST_F(FaultRuns, ChunkedBuildJobsDoNotPerturbTheFaultTimeline)
     const RunResult b =
         runNetwork(makeSgcn(), parallel_build, net, faulted);
     expectRunIdentical(a, b);
-    expectFaultStatsIdentical(a.faults, b.faults);
+    expectMetricsIdentical(a, b);
 }
 
 TEST_F(FaultRuns, EmptyPlanIsBitIdenticalToTheFaultFreeBuild)
@@ -224,9 +204,10 @@ TEST_F(FaultRuns, EmptyPlanIsBitIdenticalToTheFaultFreeBuild)
     const RunResult b = runNetwork(makeSgcn(), cora, net, empty_plan);
     expectRunIdentical(a, b);
     EXPECT_FALSE(b.faults.enabled);
-    // The CSV stays in the pre-fault shape: suffix columns are only
-    // ever appended for runs that injected something.
-    EXPECT_EQ(runResultCsvRow(a), runResultCsvRow(b));
+    // Every exported metric matches too, so the CSV stays in the
+    // fault-free shape: fault columns are only written for exports
+    // where some run injected something.
+    expectMetricsIdentical(a, b);
 }
 
 // --------------------------------------------------------------

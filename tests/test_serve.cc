@@ -14,8 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 
 #include "accel/report.hh"
 #include "fixtures.hh"
@@ -244,23 +248,6 @@ TEST(EgoSampler, BatchSubgraphPreservesParentWeights)
 // Served traces: jobs-invariance and fault replay
 // --------------------------------------------------------------
 
-void
-expectServeStatsIdentical(const ServeStats &a, const ServeStats &b)
-{
-    EXPECT_EQ(a.enabled, b.enabled);
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.batches, b.batches);
-    EXPECT_EQ(a.p50Cycles, b.p50Cycles);
-    EXPECT_EQ(a.p95Cycles, b.p95Cycles);
-    EXPECT_EQ(a.p99Cycles, b.p99Cycles);
-    EXPECT_EQ(a.sustainedQps, b.sustainedQps);
-    EXPECT_EQ(a.meanOccupancy, b.meanOccupancy);
-    EXPECT_EQ(a.peakOccupancy, b.peakOccupancy);
-    EXPECT_EQ(a.makespanCycles, b.makespanCycles);
-    EXPECT_EQ(a.subgraphVertices, b.subgraphVertices);
-    EXPECT_EQ(a.subgraphEdges, b.subgraphEdges);
-}
-
 TEST(ServeTrace, BitIdenticalAcrossJobCounts)
 {
     const Dataset dataset = testfx::cora();
@@ -273,11 +260,8 @@ TEST(ServeTrace, BitIdenticalAcrossJobCounts)
     const RunResult threaded = serveTrace(
         makeSgcn(), dataset, net, serveRunOptions(8), serve);
     ASSERT_TRUE(serial.serve.enabled);
-    expectServeStatsIdentical(serial.serve, threaded.serve);
+    testfx::expectMetricsIdentical(serial, threaded);
     testfx::expectCountsIdentical(serial.total, threaded.total);
-    EXPECT_EQ(serial.total.cycles, threaded.total.cycles);
-    EXPECT_EQ(serveCsvRowSuffix(serial),
-              serveCsvRowSuffix(threaded));
 
     // Sanity on the aggregate shape: every request is charged a
     // positive latency and occupancy respects the caps.
@@ -304,10 +288,7 @@ TEST(ServeTrace, FaultPlanReplaysIdenticalTail)
     const RunResult replay =
         serveTrace(makeSgcn(), dataset, net, opts, serve);
     ASSERT_TRUE(first.faults.enabled);
-    expectServeStatsIdentical(first.serve, replay.serve);
-    EXPECT_EQ(first.faults.linkRetries, replay.faults.linkRetries);
-    EXPECT_EQ(first.faults.backoffCycles,
-              replay.faults.backoffCycles);
+    testfx::expectMetricsIdentical(first, replay);
 
     // And the degraded link measurably shifts the tail versus the
     // fault-free trace on the same arrivals.
@@ -330,12 +311,16 @@ TEST(ServeTrace, CsvAppendsServeColumnsForMixedSweeps)
     plain.accelName = "GCNAX";
     plain.datasetAbbrev = "CR";
 
-    const std::string header =
-        runResultCsvHeader() + serveCsvHeaderSuffix();
-    const std::string served_row =
-        runResultCsvRow(served) + serveCsvRowSuffix(served);
-    const std::string plain_row =
-        runResultCsvRow(plain) + serveCsvRowSuffix(plain);
+    const std::string path = ::testing::TempDir() + "sgcn_serve_" +
+                             std::to_string(::getpid()) + ".csv";
+    writeRunsCsv({served, plain}, path);
+    std::ifstream in(path);
+    std::string header, served_row, plain_row;
+    std::getline(in, header);
+    std::getline(in, served_row);
+    std::getline(in, plain_row);
+    std::remove(path.c_str());
+    EXPECT_NE(header.find(",serve_requests,"), std::string::npos);
     const auto commas = [](const std::string &s) {
         return std::count(s.begin(), s.end(), ',');
     };

@@ -159,48 +159,6 @@ TEST(Rng, GeometricMean)
     EXPECT_NEAR(sum / trials, 32.0, 1.0);
 }
 
-TEST(Stats, StatSetBasics)
-{
-    StatSet stats;
-    stats["a"] = 3.0;
-    stats["b"] += 2.0;
-    EXPECT_DOUBLE_EQ(stats.get("a"), 3.0);
-    EXPECT_DOUBLE_EQ(stats.get("b"), 2.0);
-    EXPECT_DOUBLE_EQ(stats.get("missing"), 0.0);
-}
-
-TEST(Stats, StatSetMerge)
-{
-    StatSet a, b;
-    a["x"] = 1.0;
-    b["x"] = 2.0;
-    b["y"] = 5.0;
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("x"), 3.0);
-    EXPECT_DOUBLE_EQ(a.get("y"), 5.0);
-}
-
-TEST(Stats, HistogramMoments)
-{
-    Histogram hist(0.0, 10.0, 10);
-    for (int i = 0; i < 10; ++i)
-        hist.sample(static_cast<double>(i));
-    EXPECT_EQ(hist.count(), 10u);
-    EXPECT_NEAR(hist.mean(), 4.5, 1e-9);
-    EXPECT_NEAR(hist.stddev(), 3.0276, 1e-3);
-    EXPECT_DOUBLE_EQ(hist.minValue(), 0.0);
-    EXPECT_DOUBLE_EQ(hist.maxValue(), 9.0);
-}
-
-TEST(Stats, HistogramOutliers)
-{
-    Histogram hist(0.0, 1.0, 4);
-    hist.sample(-5.0);
-    hist.sample(5.0);
-    EXPECT_EQ(hist.buckets().front(), 1u);
-    EXPECT_EQ(hist.buckets().back(), 1u);
-}
-
 TEST(Stats, Geomean)
 {
     EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-9);
@@ -459,9 +417,10 @@ TEST(Cli, FlagsAndValues)
     // A bare boolean flag must be last or use --flag=1: "--flag pos"
     // would consume "pos" as the flag's value.
     const char *argv[] = {"prog", "--alpha", "3", "--beta=x", "pos",
-                          "--flag"};
-    Cli cli(6, const_cast<char **>(argv));
-    EXPECT_EQ(cli.getInt("alpha", 0), 3);
+                          "--seed=18446744073709551615", "--flag"};
+    Cli cli(7, const_cast<char **>(argv));
+    EXPECT_EQ(cli.getUnsigned("alpha", 0), 3u);
+    EXPECT_EQ(cli.getUnsigned("seed", 0), UINT64_MAX);
     EXPECT_EQ(cli.getString("beta", ""), "x");
     EXPECT_TRUE(cli.getBool("flag", false));
     EXPECT_FALSE(cli.getBool("absent", false));
@@ -473,7 +432,7 @@ TEST(Cli, Defaults)
 {
     const char *argv[] = {"prog"};
     Cli cli(1, const_cast<char **>(argv));
-    EXPECT_EQ(cli.getInt("n", 42), 42);
+    EXPECT_EQ(cli.getUnsigned("n", 42), 42u);
     EXPECT_DOUBLE_EQ(cli.getDouble("d", 1.5), 1.5);
 }
 

@@ -16,6 +16,7 @@
 #include "accel/personalities.hh"
 #include "accel/runner.hh"
 #include "accel/stream_artifacts.hh"
+#include "fixtures.hh"
 #include "graph/generators.hh"
 #include "graph/preprocess_cache.hh"
 
@@ -32,17 +33,6 @@ testGraph(std::uint64_t seed, VertexId vertices = 400)
     params.avgDegree = 6.0;
     params.seed = seed;
     return clusteredGraph(params);
-}
-
-/** The totals that define bit-identity between two runs. */
-void
-expectIdentical(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.total.cycles, b.total.cycles);
-    EXPECT_EQ(a.total.macs, b.total.macs);
-    EXPECT_EQ(a.total.traffic.totalLines(), b.total.traffic.totalLines());
-    EXPECT_EQ(a.total.cacheAccesses, b.total.cacheAccesses);
-    EXPECT_EQ(a.total.cacheHits, b.total.cacheHits);
 }
 
 TEST(StreamArtifacts, WarmRunsBitIdenticalPerPersonality)
@@ -68,7 +58,7 @@ TEST(StreamArtifacts, WarmRunsBitIdenticalPerPersonality)
                 runNetwork(config, dataset, net, opts);
             EXPECT_GE(StreamArtifactCache::instance().stats().hits, 1u)
                 << config.name;
-            expectIdentical(cold, warm);
+            testfx::expectMetricsIdentical(cold, warm);
         }
     }
 }
@@ -98,7 +88,7 @@ TEST(StreamArtifacts, SweepSharesArtifactsAcrossConfigs)
     EXPECT_EQ(after.misses, cold.misses);
     ASSERT_EQ(serial.size(), warm.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
-        expectIdentical(serial[i], warm[i]);
+        testfx::expectMetricsIdentical(serial[i], warm[i]);
 }
 
 TEST(StreamArtifacts, ComputeOnceUnderJobs)
@@ -127,7 +117,7 @@ TEST(StreamArtifacts, ComputeOnceUnderJobs)
     // ...and the results are the serial results, bit for bit.
     ASSERT_EQ(pooled.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
-        expectIdentical(serial[i], pooled[i]);
+        testfx::expectMetricsIdentical(serial[i], pooled[i]);
 }
 
 TEST(StreamArtifacts, ConcurrentMaskLookupsComputeOnce)
@@ -286,7 +276,7 @@ TEST(StreamArtifacts, ReleaseArtifactsClearsBothCaches)
         runAll(allPersonalities(), dataset, net, opts);
     ASSERT_EQ(recomputed.size(), released.size());
     for (std::size_t i = 0; i < released.size(); ++i)
-        expectIdentical(released[i], recomputed[i]);
+        testfx::expectMetricsIdentical(released[i], recomputed[i]);
 }
 
 } // namespace

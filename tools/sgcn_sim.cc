@@ -147,7 +147,7 @@ exportRuns(const Cli &cli, const std::vector<RunResult> &results)
         for (const auto &run : results) {
             std::printf("\n[%s/%s]\n", run.accelName.c_str(),
                         run.datasetAbbrev.c_str());
-            std::fputs(runResultStats(run).dump("  ").c_str(), stdout);
+            std::fputs(statsDump(run, "  ").c_str(), stdout);
         }
     }
     const std::string csv = cli.getString("csv", "");
