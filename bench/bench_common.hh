@@ -117,9 +117,10 @@ banner(const char *figure, const BenchOptions &options)
                     static_cast<double>(kDatasetVertexCap) *
                     options.scale),
                 resolveJobs(options.run.jobs),
-                options.run.pipelined()
-                    ? (options.run.tileOverlap ? "tile" : "layer")
-                    : "off");
+                !options.run.pipeline ? "off"
+                : *options.run.pipeline == PipelineGating::PerTile
+                    ? "tile"
+                    : "layer");
     if (options.run.chips > 1) {
         std::printf("chips=%u partition=%s link=%s\n\n",
                     options.run.chips,

@@ -28,8 +28,7 @@ main(int argc, char **argv)
     if (compare) {
         // The comparison needs the pipelined timeline; per-tile mode
         // carries the whole serial/per-layer/per-tile triple.
-        options.run.interLayerOverlap = true;
-        options.run.tileOverlap = true;
+        options.run.pipeline = PipelineGating::PerTile;
     }
     banner("Fig. 11 — performance comparison", options);
 

@@ -1,7 +1,5 @@
 #include "accel/layer_engine.hh"
 
-#include <algorithm>
-
 #include "accel/dataflow/registry.hh"
 #include "sim/logging.hh"
 
@@ -93,13 +91,8 @@ LayerEngine::finalize(LayerResult &result)
     result.macs = ec.aggMacs + ec.combMacs;
     result.dramRetries = ec.mem->dram().transientRetries();
 
-    if (result.cycles > 0) {
-        result.bwUtil = std::min(
-            1.0, static_cast<double>(result.traffic.totalLines()) *
-                     ec.cfg.dram.burstCycles /
-                     (static_cast<double>(ec.cfg.dram.channels) *
-                      static_cast<double>(result.cycles)));
-    }
+    result.bwUtil = ec.cfg.dram.bandwidthUtil(
+        result.traffic.totalLines(), result.cycles);
 }
 
 } // namespace sgcn

@@ -385,19 +385,6 @@ scheduleCsvHeader(bool recovered_column)
 } // anonymous namespace
 
 void
-writeScheduleCsv(const RunResult &run,
-                 const std::vector<unsigned> &sampled_layers,
-                 const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write schedule CSV: ", path);
-    const bool recovered = !run.faults.recoveredLayers.empty();
-    out << scheduleCsvHeader(recovered);
-    writeRunSchedule(out, run, sampled_layers, recovered);
-}
-
-void
 writeSchedulesCsv(const std::vector<RunResult> &runs,
                   const std::vector<unsigned> &sampled_layers,
                   const std::string &path)

@@ -98,19 +98,15 @@ std::string faultSummaryLine(const RunResult &run);
 std::string serveSummaryLine(const RunResult &run);
 
 /**
- * Write the run's layer schedules as CSV (the ROADMAP Gantt export):
- * one row per phase span and one per tile span of the input layer
- * and every sampled intermediate layer. Columns: accel, dataset,
- * layer (0 = input, else the architectural index), record
- * ("phase"/"tile"), name (phase name or tile index), start, end,
- * ready (tile rows only; empty for phases).
+ * Write the runs' layer schedules as one CSV (the ROADMAP Gantt
+ * export): one row per phase span and one per tile span of each
+ * run's input layer and every sampled intermediate layer. Columns:
+ * accel (distinguishes the runs), dataset, layer (0 = input, else
+ * the architectural index), record ("phase"/"tile"), name (phase
+ * name or tile index), start, end, ready (tile rows only; empty for
+ * phases), plus "recovered" when any run replayed a layer after a
+ * chip failure.
  */
-void writeScheduleCsv(const RunResult &run,
-                      const std::vector<unsigned> &sampled_layers,
-                      const std::string &path);
-
-/** writeScheduleCsv over several runs into one file (the accel
- *  column distinguishes them). */
 void writeSchedulesCsv(const std::vector<RunResult> &runs,
                        const std::vector<unsigned> &sampled_layers,
                        const std::string &path);

@@ -417,8 +417,8 @@ struct LayerResult
 
 /**
  * Summary of the inter-layer pipelined timeline, filled by
- * runNetwork when RunOptions::interLayerOverlap is on (the full
- * chained timeline lives in src/accel/pipeline/).
+ * runNetwork when RunOptions::pipeline is set (the full chained
+ * timeline lives in src/accel/pipeline/).
  */
 struct PipelineStats
 {
@@ -458,8 +458,9 @@ struct PipelineStats
 
 /**
  * Summary of a sharded (multi-chip) run, filled by runNetwork when
- * RunOptions::chips > 1. Exchange quantities are extrapolated
- * full-network totals, matching RunResult::total's convention.
+ * RunOptions::chips > 1 and by served traces (their batches summed).
+ * Exchange quantities are extrapolated full-network totals, matching
+ * RunResult::total's convention.
  */
 struct ShardStats
 {
@@ -501,9 +502,38 @@ struct ShardStats
      *  order, after failures. */
     std::vector<unsigned> chipIds;
 
-    /** Largest entry of chipCycles (the per-layer bottleneck chips
-     *  summed, so it can exceed any single chip's total). */
+    /** Largest entry of chipCycles. */
     Cycle bottleneckChipCycles = 0;
+
+    /** Sum @p other in (a served trace adds its batch runs):
+     *  counters add, chipCycles add slot by slot keyed by chip id,
+     *  chips takes the max, names are copied. priceRun() derives
+     *  linkBusyFraction and bottleneckChipCycles from the sums. */
+    void
+    add(const ShardStats &other)
+    {
+        if (!other.enabled)
+            return;
+        enabled = true;
+        chips = std::max(chips, other.chips);
+        partitionPolicy = other.partitionPolicy;
+        linkName = other.linkName;
+        haloVertices += other.haloVertices;
+        exchangeBytes += other.exchangeBytes;
+        exchangeCycles += other.exchangeCycles;
+        linkBusyCycles += other.linkBusyCycles;
+        for (std::size_t i = 0; i < other.chipIds.size(); ++i) {
+            const auto it = std::lower_bound(
+                chipIds.begin(), chipIds.end(), other.chipIds[i]);
+            const auto at = it - chipIds.begin();
+            if (it == chipIds.end() || *it != other.chipIds[i]) {
+                chipIds.insert(it, other.chipIds[i]);
+                chipCycles.insert(chipCycles.begin() + at, 0);
+            }
+            chipCycles[static_cast<std::size_t>(at)] +=
+                other.chipCycles[i];
+        }
+    }
 };
 
 /**
@@ -558,13 +588,36 @@ struct FaultStats
      *  topology (ascending). Schedule exports label these rows so
      *  downstream tooling can tell recovered spans from clean ones. */
     std::vector<unsigned> recoveredLayers;
+
+    /** Sum @p other in: counters add, survivingChips and the names
+     *  are copied. recoveredLayers indexes layer schedules, which a
+     *  sum of runs does not carry, so it is left alone. */
+    void
+    add(const FaultStats &other)
+    {
+        if (!other.enabled)
+            return;
+        enabled = true;
+        spec = other.spec;
+        seed = other.seed;
+        degradedMode = other.degradedMode;
+        linkRetries += other.linkRetries;
+        backoffCycles += other.backoffCycles;
+        timeouts += other.timeouts;
+        dramRetries += other.dramRetries;
+        stallCycles += other.stallCycles;
+        recoveryCycles += other.recoveryCycles;
+        failedChips += other.failedChips;
+        survivingChips = other.survivingChips;
+        repartitions += other.repartitions;
+    }
 };
 
 /**
  * Summary of a serving-trace run (src/serve/), filled by
  * tryServeTrace. Latencies are simulated cycles on the accelerator
- * clock (serve.hh's kServeClockHz maps them to wall time); totals
- * below RunResult::total sum the per-batch service simulations.
+ * clock (serve.hh's kServeClockHz maps them to wall time), while
+ * RunResult::total sums and prices the per-batch service runs.
  */
 struct ServeStats
 {

@@ -74,20 +74,6 @@ struct LayerPlan
     Cycle recoveryCycles = 0;
 };
 
-/** DRAM bandwidth use of @p lines over @p cycles when every chip
- *  owns a private memory stack of @p dram. */
-double
-bandwidthUtil(const DramConfig &dram, std::uint64_t lines, Cycle cycles,
-              unsigned chips)
-{
-    if (cycles == 0)
-        return 0.0;
-    return std::min(1.0, static_cast<double>(lines) * dram.burstCycles /
-                             (static_cast<double>(chips) *
-                              static_cast<double>(dram.channels) *
-                              static_cast<double>(cycles)));
-}
-
 } // namespace
 
 Expected<RunResult>
@@ -313,8 +299,8 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
         ExchangeCost priced = exchange;
         priced.cycles += plan.recoveryCycles;
         LayerResult merged = composeChipLayers(layer_chips, priced);
-        merged.bwUtil = bandwidthUtil(
-            config.dram, merged.traffic.totalLines(), merged.cycles,
+        merged.bwUtil = config.dram.bandwidthUtil(
+            merged.traffic.totalLines(), merged.cycles,
             static_cast<unsigned>(layer_chips.size()));
 
         const double scale = plan.archLayer == 0 ? 1.0 : repeats;
@@ -347,7 +333,7 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
     sampled_sum.scale(repeats);
     run.total.merge(sampled_sum);
 
-    if (opts.pipelined()) {
+    if (opts.pipeline) {
         // Replace the serial cycle extrapolation with the chained
         // timeline. Work counts (traffic, MACs, cache accesses) are
         // timeline-independent and keep the serial extrapolation.
@@ -374,11 +360,10 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
                     layer_sched.totalCycles,
                     "): the tile gate must refine the layer gate");
         const NetworkSchedule &sched =
-            opts.tileOverlap ? tile_sched : layer_sched;
+            *opts.pipeline == PipelineGating::PerTile ? tile_sched
+                                                       : layer_sched;
         run.pipeline.enabled = true;
-        run.pipeline.gating = opts.tileOverlap
-                                  ? PipelineGating::PerTile
-                                  : PipelineGating::PerLayer;
+        run.pipeline.gating = *opts.pipeline;
         run.pipeline.serialCycles = run.total.cycles;
         run.pipeline.pipelinedCycles = sched.totalCycles;
         run.pipeline.overlapSavedCycles =
@@ -394,18 +379,11 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
         run.total.cycles = sched.totalCycles;
     }
 
-    const auto live_chips = static_cast<unsigned>(original_chip.size());
     if (faulty) {
-        faults.survivingChips = live_chips;
+        faults.survivingChips =
+            static_cast<unsigned>(original_chip.size());
         faults.dramRetries = run.total.dramRetries;
     }
-    // Every chip owns a private memory stack: the summed traffic
-    // spreads over chips x channels (the surviving chips' stacks
-    // once any failed chip's stack is lost).
-    run.total.bwUtil =
-        bandwidthUtil(config.dram, run.total.traffic.totalLines(),
-                      run.total.cycles, live_chips);
-
     if (opts.chips > 1) {
         // Exports report the post-repartition topology: slot i of
         // chipCycles is the chip shard.chipIds[i]. Clean runs keep
@@ -418,12 +396,31 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
         shard.linkName = opts.link.name;
         shard.haloVertices = halo_vertices;
         shard.chipIds = original_chip;
-        if (faults.failedChips > 0) {
-            std::vector<Cycle> survivor_cycles(live_chips);
-            for (unsigned i = 0; i < live_chips; ++i)
-                survivor_cycles[i] = shard.chipCycles[original_chip[i]];
-            shard.chipCycles = std::move(survivor_cycles);
-        }
+        std::vector<Cycle> survivor_cycles;
+        for (unsigned id : original_chip)
+            survivor_cycles.push_back(shard.chipCycles[id]);
+        shard.chipCycles = std::move(survivor_cycles);
+        run.shard = std::move(shard);
+    }
+    priceRun(config, run);
+    return run;
+}
+
+void
+priceRun(const AccelConfig &config, RunResult &run)
+{
+    // A one-chip run has no shard block: one chip, alive. Otherwise
+    // every chip owns a private memory stack, so the summed traffic
+    // spreads over the surviving chips' stacks (a failed chip's
+    // stack is lost), while TDP and area replicate over every chip
+    // the run was built for.
+    ShardStats &shard = run.shard;
+    const unsigned chips = shard.enabled ? shard.chips : 1;
+    const auto live_chips = static_cast<unsigned>(
+        shard.enabled ? shard.chipIds.size() : 1);
+    run.total.bwUtil = config.dram.bandwidthUtil(
+        run.total.traffic.totalLines(), run.total.cycles, live_chips);
+    if (shard.enabled) {
         shard.bottleneckChipCycles = *std::max_element(
             shard.chipCycles.begin(), shard.chipCycles.end());
         if (run.total.cycles > 0) {
@@ -431,25 +428,19 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
                 1.0, static_cast<double>(shard.linkBusyCycles) /
                          static_cast<double>(run.total.cycles));
         }
-        run.shard = std::move(shard);
     }
 
-    EnergyModel energy_model(
+    const EnergyModel energy_model(
         {}, config.dram.generation == DramGeneration::Hbm1);
-    RunCounts counts;
-    counts.macs = run.total.macs;
-    counts.cacheAccesses = run.total.cacheAccesses;
-    counts.dramLines = run.total.traffic.totalLines();
-    counts.cycles = run.total.cycles;
+    const RunCounts counts{run.total.macs, run.total.cacheAccesses,
+                           run.total.traffic.totalLines()};
     AccelDescriptor desc = config.energyDesc;
     desc.cacheKb =
         static_cast<double>(config.cache.sizeBytes) / 1024.0;
     run.energy = energy_model.dynamicEnergy(counts, desc.cacheKb);
-    // TDP and area replicate per chip; dynamic energy already sums
-    // through the per-chip counts.
+    // Dynamic energy already sums through the per-chip counts.
     run.tdpWatts = energy_model.tdpWatts(desc) * chips;
     run.areaMm2 = energy_model.areaMm2(desc) * chips;
-    return run;
 }
 
 RunResult
@@ -473,25 +464,20 @@ tryRunAll(const std::vector<AccelConfig> &configs,
             dataflowFor(LayerEngine::effectiveDataflow(config, true));
     }
 
-    // Per-index error slots keep the fan-out lock-free and make the
-    // reported error deterministic (lowest failing index) at any
-    // --jobs value.
     std::vector<RunResult> results(configs.size());
-    std::vector<std::unique_ptr<SgcnError>> errors(configs.size());
-    parallelFor(opts.jobs, configs.size(), [&](std::size_t i) {
-        Expected<RunResult> r =
-            tryRunNetwork(configs[i], dataset, net, opts);
-        if (r.ok())
+    const Status status =
+        parallelTry(opts.jobs, configs.size(), [&](std::size_t i) {
+            Expected<RunResult> r =
+                tryRunNetwork(configs[i], dataset, net, opts);
+            if (!r.ok())
+                return Status(r.error());
             results[i] = std::move(r.value());
-        else
-            errors[i] = std::make_unique<SgcnError>(r.error());
-    });
+            return Status::success();
+        });
     if (opts.releaseArtifacts)
         clearSweepArtifacts();
-    for (const auto &err : errors) {
-        if (err)
-            return *err;
-    }
+    if (!status.ok())
+        return status.error();
     return results;
 }
 

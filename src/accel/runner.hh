@@ -9,15 +9,16 @@
  * NELL-style first-layer effects amortize over the network exactly
  * as in the paper (SVI-B).
  *
- * With RunOptions::interLayerOverlap the cycle extrapolation is
+ * With RunOptions::pipeline set the cycle extrapolation is
  * overlap-aware instead: each sampled layer's phase schedule repeats
  * over its stratum on the shared network timeline built by
- * src/accel/pipeline/layer_pipeline.hh.
+ * src/accel/pipeline/layer_pipeline.hh, gated per layer or per tile.
  */
 
 #ifndef SGCN_ACCEL_RUNNER_HH
 #define SGCN_ACCEL_RUNNER_HH
 
+#include <optional>
 #include <vector>
 
 #include "accel/config.hh"
@@ -44,30 +45,18 @@ struct RunOptions
     bool includeInputLayer = true;
 
     /**
-     * Chain layers on one shared timeline (src/accel/pipeline/):
-     * layer l+1's input-DMA prefix overlaps layer l's output drain,
-     * gated on double-buffered output-feature availability, and the
-     * depth extrapolation uses the steady-state pipelined per-layer
-     * advance. Off (the default) reproduces the serial isolated-sum
-     * totals bit-identically; on changes cycles (and the stats
-     * derived from them) only — traffic, MAC, and cache counts stay
-     * identical. RunResult::pipeline reports what the overlap won.
+     * Chain layers on one shared timeline (src/accel/pipeline/),
+     * each waiting on the given gate: the producer's whole output
+     * drain (PerLayer, --pipeline), or, for streaming consumers
+     * (LayerSchedule::sequentialInput), the producer tiles covering
+     * its next input chunk (PerTile, --pipeline=tile; never more
+     * cycles than PerLayer). The depth extrapolation uses the
+     * steady-state pipelined advance. Unset (the default) keeps the
+     * serial totals bit-identically; set, only cycles (and stats
+     * derived from them) change. RunResult::pipeline reports what
+     * the overlap won.
      */
-    bool interLayerOverlap = false;
-
-    /**
-     * Finer-grained variant of interLayerOverlap (implies it): gate
-     * a consumer layer on producer *tile* readiness instead of the
-     * whole output drain. Streaming consumers (comb-first,
-     * column-product — LayerSchedule::sequentialInput) start as
-     * soon as the producer tiles covering their next input chunk
-     * have drained, double-buffered at tile granularity and clamped
-     * exactly like the per-layer gate; random-gather consumers
-     * (agg-first) keep per-layer gating. Cycle totals never exceed
-     * the per-layer-gated totals; work counts stay identical to
-     * both other modes. Surfaced as --pipeline=tile.
-     */
-    bool tileOverlap = false;
+    std::optional<PipelineGating> pipeline = {};
 
     /**
      * Parallelism of every fan-out a run makes: personalities in
@@ -120,9 +109,6 @@ struct RunOptions
 
     /** Reaction to an injected chip-fail (--degraded-mode). */
     DegradedMode degradedMode = DegradedMode::Repartition;
-
-    /** Whether any inter-layer pipelining (either gating) is on. */
-    bool pipelined() const { return interLayerOverlap || tileOverlap; }
 };
 
 /**
@@ -144,6 +130,14 @@ Expected<RunResult> tryRunNetwork(const AccelConfig &config,
                                   const Dataset &dataset,
                                   const NetworkSpec &net,
                                   const RunOptions &opts = {});
+
+/**
+ * Set @p run's derived figures from its own totals: total.bwUtil,
+ * shard.bottleneckChipCycles and shard.linkBusyFraction, energy,
+ * TDP and area. Every RunResult — one run, or a served trace's
+ * summed batch runs — is priced here.
+ */
+void priceRun(const AccelConfig &config, RunResult &run);
 
 /** tryRunNetwork, fatal on error (the CLI-boundary convenience). */
 RunResult runNetwork(const AccelConfig &config, const Dataset &dataset,

@@ -80,18 +80,6 @@ struct RunCounts
 
     /** Off-chip DRAM lines moved (either direction). */
     std::uint64_t dramLines = 0;
-
-    /** Execution cycles at 1 GHz. */
-    std::uint64_t cycles = 0;
-
-    void
-    merge(const RunCounts &other)
-    {
-        macs += other.macs;
-        cacheAccesses += other.cacheAccesses;
-        dramLines += other.dramLines;
-        cycles += other.cycles;
-    }
 };
 
 /** Dynamic energy split the way Fig. 13 reports it. */

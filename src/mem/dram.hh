@@ -13,6 +13,7 @@
 #ifndef SGCN_MEM_DRAM_HH
 #define SGCN_MEM_DRAM_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <array>
 #include <vector>
@@ -99,6 +100,20 @@ struct DramConfig
     {
         return static_cast<double>(channels) * kCachelineBytes /
                static_cast<double>(burstCycles);
+    }
+
+    /** Bus-time share @p lines bursts take over @p cycles (capped
+     *  at 1) across @p stacks private memory stacks. */
+    double
+    bandwidthUtil(std::uint64_t lines, Cycle cycles,
+                  unsigned stacks = 1) const
+    {
+        if (cycles == 0)
+            return 0.0;
+        return std::min(1.0, static_cast<double>(lines) * burstCycles /
+                                 (static_cast<double>(stacks) *
+                                  static_cast<double>(channels) *
+                                  static_cast<double>(cycles)));
     }
 
     /** HBM2 preset: 256 GB/s peak (Table III). */

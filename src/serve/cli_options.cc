@@ -17,15 +17,12 @@ applyPipelineFlag(RunOptions &opts, const std::string &value)
 {
     if (value.empty() || value == "1" || value == "true" ||
         value == "yes" || value == "on" || value == "layer") {
-        opts.interLayerOverlap = true;
-        opts.tileOverlap = false;
+        opts.pipeline = PipelineGating::PerLayer;
     } else if (value == "tile") {
-        opts.interLayerOverlap = true;
-        opts.tileOverlap = true;
+        opts.pipeline = PipelineGating::PerTile;
     } else if (value == "0" || value == "false" || value == "no" ||
                value == "off") {
-        opts.interLayerOverlap = false;
-        opts.tileOverlap = false;
+        opts.pipeline.reset();
     } else {
         fatal("bad --pipeline value '", value,
               "' (expected off|layer|tile)");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "sim/fault/fault.hh"
 #include "sim/rng.hh"
@@ -104,36 +103,33 @@ tryServeTrace(const AccelConfig &config, const Dataset &dataset,
     // the per-batch service simulations are independent: fan them
     // out over the pool, input-ordered, exactly like tryRunAll.
     std::vector<BatchService> services(batches.size());
-    std::vector<std::unique_ptr<SgcnError>> errors(batches.size());
-    parallelFor(opts.jobs, batches.size(), [&](std::size_t b) {
-        const RequestBatch &batch = batches[b];
-        BatchSubgraph sub = sampleBatchSubgraph(
-            dataset.graph, batch.first, batch.count, serve.sample);
-        Dataset batch_ds{dataset.spec, std::move(sub.graph),
-                         dataset.inputWidth, dataset.vertexScale,
-                         0.0};
-        RunOptions batch_opts = opts;
-        if (batch_opts.faults.active()) {
-            // Each batch replays the plan under its own derived
-            // stream: the same trace + plan always reproduces the
-            // same tail, while batches decorrelate from each other.
-            batch_opts.faults.seed = FaultInjector::deriveSeed(
-                opts.faults.seed, static_cast<std::uint64_t>(b));
-        }
-        Expected<RunResult> r =
-            tryRunNetwork(config, batch_ds, net, batch_opts);
-        if (!r.ok()) {
-            errors[b] = std::make_unique<SgcnError>(r.error());
-            return;
-        }
-        services[b].run = std::move(r.value());
-        services[b].vertices = batch_ds.graph.numVertices();
-        services[b].edges = batch_ds.graph.numEdges();
-    });
-    for (const auto &err : errors) {
-        if (err)
-            return *err;
-    }
+    const Status status =
+        parallelTry(opts.jobs, batches.size(), [&](std::size_t b) {
+            const RequestBatch &batch = batches[b];
+            BatchSubgraph sub = sampleBatchSubgraph(
+                dataset.graph, batch.first, batch.count, serve.sample);
+            Dataset batch_ds{dataset.spec, std::move(sub.graph),
+                             dataset.inputWidth, dataset.vertexScale,
+                             0.0};
+            RunOptions batch_opts = opts;
+            if (batch_opts.faults.active()) {
+                // Each batch replays the plan under its own derived
+                // stream: the same trace + plan always reproduces the
+                // same tail, while batches decorrelate from each other.
+                batch_opts.faults.seed = FaultInjector::deriveSeed(
+                    opts.faults.seed, static_cast<std::uint64_t>(b));
+            }
+            Expected<RunResult> r =
+                tryRunNetwork(config, batch_ds, net, batch_opts);
+            if (!r.ok())
+                return Status(r.error());
+            services[b].run = std::move(r.value());
+            services[b].vertices = batch_ds.graph.numVertices();
+            services[b].edges = batch_ds.graph.numEdges();
+            return Status::success();
+        });
+    if (!status.ok())
+        return status.error();
 
     // Chain batches on the accelerator timeline and charge each
     // request the completion of its batch.
@@ -162,47 +158,19 @@ tryServeTrace(const AccelConfig &config, const Dataset &dataset,
             latencies.push_back(end - arrivals[batch.first + r]);
 
         run.total.merge(svc.run.total);
-        run.energy.computeJ += svc.run.energy.computeJ;
-        run.energy.cacheJ += svc.run.energy.cacheJ;
-        run.energy.dramJ += svc.run.energy.dramJ;
-        run.tdpWatts = std::max(run.tdpWatts, svc.run.tdpWatts);
-        run.areaMm2 = std::max(run.areaMm2, svc.run.areaMm2);
+        run.shard.add(svc.run.shard);
+        run.faults.add(svc.run.faults);
         stats.subgraphVertices += svc.vertices;
         stats.subgraphEdges += svc.edges;
         stats.peakOccupancy =
             std::max(stats.peakOccupancy, unsigned{batch.count});
-
-        if (svc.run.shard.enabled) {
-            ShardStats &shard = run.shard;
-            const ShardStats &bs = svc.run.shard;
-            shard.enabled = true;
-            shard.chips = std::max(shard.chips, bs.chips);
-            shard.partitionPolicy = bs.partitionPolicy;
-            shard.linkName = bs.linkName;
-            shard.haloVertices += bs.haloVertices;
-            shard.exchangeBytes += bs.exchangeBytes;
-            shard.exchangeCycles += bs.exchangeCycles;
-            shard.linkBusyCycles += bs.linkBusyCycles;
-            shard.bottleneckChipCycles += bs.bottleneckChipCycles;
-        }
-        if (svc.run.faults.enabled) {
-            FaultStats &faults = run.faults;
-            const FaultStats &bf = svc.run.faults;
-            faults.enabled = true;
-            faults.spec = opts.faults.canonical();
-            faults.seed = opts.faults.seed;
-            faults.degradedMode = bf.degradedMode;
-            faults.linkRetries += bf.linkRetries;
-            faults.backoffCycles += bf.backoffCycles;
-            faults.timeouts += bf.timeouts;
-            faults.dramRetries += bf.dramRetries;
-            faults.stallCycles += bf.stallCycles;
-            faults.recoveryCycles += bf.recoveryCycles;
-            faults.failedChips += bf.failedChips;
-            faults.survivingChips = bf.survivingChips;
-            faults.repartitions += bf.repartitions;
-        }
     }
+    // The trace replays one plan: report it, not a batch's reseed.
+    if (run.faults.enabled) {
+        run.faults.spec = opts.faults.canonical();
+        run.faults.seed = opts.faults.seed;
+    }
+    priceRun(config, run);
     stats.makespanCycles = prev_end;
     stats.meanOccupancy =
         stats.batches == 0
@@ -217,13 +185,6 @@ tryServeTrace(const AccelConfig &config, const Dataset &dataset,
                              (static_cast<double>(
                                   stats.makespanCycles) /
                               kServeClockHz);
-    }
-    if (run.shard.enabled && run.total.cycles > 0) {
-        run.shard.linkBusyFraction = std::min(
-            1.0, static_cast<double>(run.shard.linkBusyCycles) /
-                     static_cast<double>(run.total.cycles));
-        for (unsigned c = 0; c < run.shard.chips; ++c)
-            run.shard.chipIds.push_back(c);
     }
     return run;
 }

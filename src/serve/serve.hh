@@ -97,8 +97,11 @@ Cycle latencyPercentile(std::vector<Cycle> samples, double pct);
  * batch's service with @p opts (mode/jobs/chips/pipeline/faults all
  * compose; a fault plan is re-seeded per batch), chain batches on
  * the arrival timeline, and report latency percentiles, sustained
- * QPS, and occupancy via RunResult::serve. RunResult::total sums the
- * per-batch service simulations.
+ * QPS, and occupancy via RunResult::serve. RunResult::total,
+ * RunResult::shard and RunResult::faults are the per-batch service
+ * runs summed (LayerResult::merge, ShardStats::add, FaultStats::add)
+ * and priced like one run (priceRun): bandwidth use, per-chip
+ * cycles, energy, TDP and area all follow the run's own rules.
  */
 Expected<RunResult> tryServeTrace(const AccelConfig &config,
                                   const Dataset &dataset,

@@ -225,4 +225,19 @@ parallelFor(unsigned jobs, std::size_t count,
     Pool::instance().run(batch);
 }
 
+Status
+parallelTry(unsigned jobs, std::size_t count,
+            const std::function<Status(std::size_t)> &fn)
+{
+    // Per-index slots keep the fan-out lock-free.
+    std::vector<Status> statuses(count);
+    parallelFor(jobs, count,
+                [&](std::size_t i) { statuses[i] = fn(i); });
+    for (Status &status : statuses) {
+        if (!status.ok())
+            return std::move(status);
+    }
+    return Status::success();
+}
+
 } // namespace sgcn

@@ -32,6 +32,8 @@
 #include <cstddef>
 #include <functional>
 
+#include "sim/error.hh"
+
 namespace sgcn
 {
 
@@ -52,6 +54,14 @@ unsigned resolveJobs(unsigned jobs);
  */
 void parallelFor(unsigned jobs, std::size_t count,
                  const std::function<void(std::size_t)> &fn);
+
+/**
+ * parallelFor over fallible tasks: run every fn(i) and return the
+ * error of the lowest failing index (success when none failed), so
+ * the reported error is the serial loop's at any @p jobs value.
+ */
+Status parallelTry(unsigned jobs, std::size_t count,
+                   const std::function<Status(std::size_t)> &fn);
 
 } // namespace sgcn
 

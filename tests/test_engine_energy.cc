@@ -63,8 +63,8 @@ TEST(Systolic, MoreWorkMoreCycles)
 TEST(Energy, DynamicProportionalToCounts)
 {
     EnergyModel model;
-    RunCounts base{1000, 1000, 1000, 1000};
-    RunCounts doubled{2000, 2000, 2000, 1000};
+    RunCounts base{1000, 1000, 1000};
+    RunCounts doubled{2000, 2000, 2000};
     const EnergyBreakdown a = model.dynamicEnergy(base, 512.0);
     const EnergyBreakdown b = model.dynamicEnergy(doubled, 512.0);
     EXPECT_NEAR(b.total(), 2.0 * a.total(), 1e-12);
@@ -138,17 +138,6 @@ TEST(Energy, AreaMatchesPaperScale)
     EXPECT_NEAR(sgcn / gcnax, 1.025, 0.02);
     EXPECT_GT(sgcn, 4.05);
     EXPECT_LT(sgcn, 5.5);
-}
-
-TEST(Energy, BreakdownMergesCleanly)
-{
-    RunCounts a{10, 20, 30, 40};
-    RunCounts b{1, 2, 3, 4};
-    a.merge(b);
-    EXPECT_EQ(a.macs, 11u);
-    EXPECT_EQ(a.cacheAccesses, 22u);
-    EXPECT_EQ(a.dramLines, 33u);
-    EXPECT_EQ(a.cycles, 44u);
 }
 
 } // namespace

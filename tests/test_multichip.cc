@@ -97,7 +97,6 @@ referenceReplay(const AccelConfig &config, const Dataset &dataset,
     counts.macs = run.total.macs;
     counts.cacheAccesses = run.total.cacheAccesses;
     counts.dramLines = run.total.traffic.totalLines();
-    counts.cycles = run.total.cycles;
     AccelDescriptor desc = config.energyDesc;
     desc.cacheKb = static_cast<double>(config.cache.sizeBytes) / 1024.0;
     run.energy = energy.dynamicEnergy(counts, desc.cacheKb);
@@ -239,7 +238,7 @@ TEST_F(MultiChip, ShardedPipelinedTotalsStayBounded)
     RunOptions serial = opts;
     serial.chips = 4;
     RunOptions pipelined = serial;
-    pipelined.tileOverlap = true;
+    pipelined.pipeline = PipelineGating::PerTile;
     const RunResult base = runNetwork(makeSgcn(), cora, net, serial);
     const RunResult run =
         runNetwork(makeSgcn(), cora, net, pipelined);

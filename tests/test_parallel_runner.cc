@@ -5,7 +5,8 @@
  * must not race (this binary carries the "thread" ctest label and is
  * the target of the ThreadSanitizer CI job), and the shared pool
  * behind parallelFor must honour its coverage, concurrency-bound,
- * nesting and exception contract.
+ * nesting and exception contract (and parallelTry its lowest-index
+ * error contract).
  */
 
 #include <gtest/gtest.h>
@@ -265,6 +266,31 @@ TEST(ThreadPool, ParallelForRethrowsLowestIndexFailure)
             EXPECT_STREQ(error.what(), "boom 3");
         }
     }
+}
+
+TEST(ThreadPool, ParallelTryReturnsLowestIndexError)
+{
+    // Several indices fail, finishing in no particular order; the
+    // lowest one's error comes back, and every index still ran.
+    for (unsigned jobs : {1u, 8u}) {
+        std::vector<std::atomic<int>> ran(16);
+        const Status status =
+            parallelTry(jobs, ran.size(), [&](std::size_t i) {
+                ++ran[i];
+                if (i == 5 || i == 9 || i == 14) {
+                    return Status(makeError(ErrorCode::ChipFailure,
+                                            "fail ", i));
+                }
+                return Status::success();
+            });
+        ASSERT_FALSE(status.ok()) << "jobs=" << jobs;
+        EXPECT_EQ(status.error().code, ErrorCode::ChipFailure);
+        EXPECT_EQ(status.error().message, "fail 5") << "jobs=" << jobs;
+        for (const std::atomic<int> &count : ran)
+            EXPECT_EQ(count.load(), 1);
+    }
+    EXPECT_TRUE(
+        parallelTry(8, 16, [](std::size_t) { return Status(); }).ok());
 }
 
 TEST(ThreadPool, OverlapsSleepingTasks)

@@ -1,6 +1,6 @@
 /**
  * @file
- * The inter-layer pipeline: with RunOptions::interLayerOverlap off,
+ * The inter-layer pipeline: with RunOptions::pipeline unset,
  * runNetwork must reproduce the serial isolated-sum totals
  * bit-identically (pinned against pre-change captures below); with
  * per-layer gating on, cycles must drop strictly below the serial
@@ -71,9 +71,9 @@ struct Pipeline : ::testing::Test
     {
         serial.sampledIntermediateLayers = 2;
         overlapped = serial;
-        overlapped.interLayerOverlap = true;
-        tiled = overlapped;
-        tiled.tileOverlap = true;
+        overlapped.pipeline = PipelineGating::PerLayer;
+        tiled = serial;
+        tiled.pipeline = PipelineGating::PerTile;
     }
 };
 

@@ -191,8 +191,7 @@ TEST_F(ScheduleInvariants, SchedulesSurviveTiledFanOut)
     const Dataset cora = testfx::cora();
     const auto configs = allPersonalities();
     RunOptions tiled = opts;
-    tiled.interLayerOverlap = true;
-    tiled.tileOverlap = true;
+    tiled.pipeline = PipelineGating::PerTile;
     RunOptions fanned = tiled;
     fanned.jobs = 2;
 

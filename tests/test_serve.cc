@@ -8,8 +8,10 @@
  * admission never lets a request linger past the cap or a batch
  * exceed its size cap; ego-network samples are pure functions of
  * (trace seed, request) — independent of batch membership; the batch
- * subgraph preserves parent weights verbatim; and a --faults plan
- * replays to an identical tail.
+ * subgraph preserves parent weights verbatim; a --faults plan
+ * replays to an identical tail; and a served trace is summed and
+ * priced like one run (bandwidth use, energy, per-chip cycles keyed
+ * by chip id).
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include "fixtures.hh"
 #include "graph/sampler.hh"
 #include "serve/serve.hh"
+#include "sim/fault/fault.hh"
 
 namespace sgcn
 {
@@ -298,6 +301,104 @@ TEST(ServeTrace, FaultPlanReplaysIdenticalTail)
         serveTrace(makeSgcn(), dataset, net, clean, serve);
     EXPECT_EQ(base.serve.batches, first.serve.batches);
     EXPECT_GT(first.serve.p99Cycles, base.serve.p99Cycles);
+}
+
+TEST(ServeTrace, PricedLikeARun)
+{
+    // A served trace's totals are priced like one run's: bandwidth
+    // use over the summed lines and cycles, and energy, TDP and area
+    // from the summed counts.
+    const Dataset dataset = testfx::cora();
+    NetworkSpec net;
+    net.layers = 8;
+    const AccelConfig config = makeSgcn();
+    const RunResult served = serveTrace(config, dataset, net,
+                                        serveRunOptions(2), smallTrace());
+    ASSERT_TRUE(served.serve.enabled);
+    ASSERT_GT(served.total.cycles, 0u);
+
+    const std::uint64_t lines = served.total.traffic.totalLines();
+    EXPECT_GT(served.total.bwUtil, 0.0);
+    EXPECT_EQ(served.total.bwUtil,
+              std::min(1.0, static_cast<double>(lines) *
+                                config.dram.burstCycles /
+                                (static_cast<double>(config.dram.channels) *
+                                 static_cast<double>(served.total.cycles))));
+
+    const EnergyModel model(
+        {}, config.dram.generation == DramGeneration::Hbm1);
+    RunCounts counts;
+    counts.macs = served.total.macs;
+    counts.cacheAccesses = served.total.cacheAccesses;
+    counts.dramLines = lines;
+    AccelDescriptor desc = config.energyDesc;
+    desc.cacheKb = static_cast<double>(config.cache.sizeBytes) / 1024.0;
+    const EnergyBreakdown energy = model.dynamicEnergy(counts, desc.cacheKb);
+    EXPECT_EQ(served.energy.computeJ, energy.computeJ);
+    EXPECT_EQ(served.energy.cacheJ, energy.cacheJ);
+    EXPECT_EQ(served.energy.dramJ, energy.dramJ);
+    EXPECT_EQ(served.tdpWatts, model.tdpWatts(desc));
+    EXPECT_EQ(served.areaMm2, model.areaMm2(desc));
+}
+
+TEST(ServeTrace, MultiChipPairsChipIdsWithCycles)
+{
+    const Dataset dataset = testfx::cora();
+    NetworkSpec net;
+    net.layers = 8;
+    const ServeOptions serve = smallTrace();
+
+    RunOptions two_chips = serveRunOptions(4);
+    two_chips.chips = 2;
+    const RunResult clean =
+        serveTrace(makeSgcn(), dataset, net, two_chips, serve);
+    ASSERT_TRUE(clean.shard.enabled);
+    EXPECT_EQ(clean.shard.chipIds, (std::vector<unsigned>{0, 1}));
+    EXPECT_EQ(clean.shard.chipCycles.size(), 2u);
+
+    // A chip lost at layer 1 of every batch: only the survivors are
+    // reported, each slot paired with its chip id.
+    RunOptions opts = serveRunOptions(4);
+    opts.chips = 4;
+    opts.degradedMode = DegradedMode::Repartition;
+    opts.faults = FaultPlan::parse("chip-fail:chip2@layer1").orFatal();
+    const RunResult run =
+        serveTrace(makeSgcn(), dataset, net, opts, serve);
+    const ShardStats &shard = run.shard;
+    ASSERT_TRUE(shard.enabled);
+    EXPECT_EQ(shard.chipIds, (std::vector<unsigned>{0, 1, 3}));
+    ASSERT_EQ(shard.chipCycles.size(), shard.chipIds.size());
+
+    // Replay every batch as its own run and sum each chip's cycles.
+    const std::vector<RequestBatch> batches =
+        admitBatches(generateArrivals(serve), serve.maxBatch,
+                     serve.maxLingerCycles);
+    std::vector<Cycle> expected(4, 0);
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+        BatchSubgraph sub =
+            sampleBatchSubgraph(dataset.graph, batches[b].first,
+                                batches[b].count, serve.sample);
+        const Dataset batch_ds{dataset.spec, std::move(sub.graph),
+                               dataset.inputWidth, dataset.vertexScale,
+                               0.0};
+        RunOptions batch_opts = opts;
+        batch_opts.faults.seed =
+            FaultInjector::deriveSeed(opts.faults.seed, b);
+        Expected<RunResult> replay =
+            tryRunNetwork(makeSgcn(), batch_ds, net, batch_opts);
+        ASSERT_TRUE(replay.ok()) << replay.error().message;
+        const ShardStats &bs = replay.value().shard;
+        ASSERT_EQ(bs.chipIds.size(), bs.chipCycles.size());
+        for (std::size_t i = 0; i < bs.chipIds.size(); ++i)
+            expected[bs.chipIds[i]] += bs.chipCycles[i];
+    }
+    for (std::size_t i = 0; i < shard.chipIds.size(); ++i) {
+        EXPECT_EQ(shard.chipCycles[i], expected[shard.chipIds[i]])
+            << "chip " << shard.chipIds[i];
+    }
+    EXPECT_EQ(shard.bottleneckChipCycles,
+              *std::max_element(shard.chipCycles.begin(),
+                                shard.chipCycles.end()));
 }
 
 TEST(ServeTrace, CsvAppendsServeColumnsForMixedSweeps)

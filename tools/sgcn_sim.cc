@@ -203,7 +203,7 @@ cmdRun(const Cli &cli)
     }
     table.print();
 
-    if (opts.pipelined())
+    if (opts.pipeline)
         printRunLines(results, pipelineSummaryLine);
     if (opts.chips > 1)
         printRunLines(results, shardSummaryLine);
