@@ -7,6 +7,15 @@
 namespace sgcn
 {
 
+namespace
+{
+
+/** Picks between a slice-table entry's prefetch and its use: the
+ *  table is indexed by pick vertex, so entries are random reads. */
+constexpr std::size_t kPlanAhead = 8;
+
+} // namespace
+
 Cycle
 sweepTileFast(EngineContext &ec, const TiledGraphView &view,
               unsigned tile, const FeatureLayout &layout,
@@ -68,10 +77,11 @@ sweepTileFast(EngineContext &ec, const TiledGraphView &view,
         const Cache &shared = ec.mem->cache();
         const FeatureLayout::SlicePlan *table = layout.sliceTable();
         for (unsigned s = 0; s < slices; ++s) {
-            // Distance-1 software pipeline over the tile's pick
-            // stream: prefetch pick i+1's tag sets while pick i's
-            // lines run through the functional cache. Access order
-            // is exactly the plain loop's.
+            // Software pipeline over the tile's pick stream:
+            // prefetch pick i+kPlanAhead's slice-table entry, and
+            // pick i+1's tag sets (from its now-warm entry), while
+            // pick i's lines run through the functional cache.
+            // Access order is exactly the plain loop's.
             std::size_t cursor = 0;
             for (const EngineContext::SweepEntry &entry : entries) {
                 if (s == 0) {
@@ -93,6 +103,12 @@ sweepTileFast(EngineContext &ec, const TiledGraphView &view,
                     const FeatureLayout::SlicePlan &pe =
                         table[static_cast<std::size_t>(picks[i]) *
                                   slices + s];
+                    if (cursor + kPlanAhead < picks.size()) {
+                        __builtin_prefetch(
+                            table + static_cast<std::size_t>(
+                                        picks[cursor + kPlanAhead]) *
+                                        slices + s);
+                    }
                     if (cursor + 1 < picks.size()) {
                         const FeatureLayout::SlicePlan &npe =
                             table[static_cast<std::size_t>(

@@ -1,11 +1,79 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "sim/logging.hh"
 
 namespace sgcn
 {
+
+namespace
+{
+
+/** Four 32-bit lanes: the portable vector unit (one SSE2 or NEON
+ *  register) of the set probes. */
+typedef std::uint32_t Quad __attribute__((vector_size(16)));
+/** Four per-way metadata bytes, widened to a Quad for the pin mask. */
+typedef std::uint8_t MetaQuad __attribute__((vector_size(4)));
+
+/** One block of Cache::kBlockWays lanes (tags or stamps), as quads. */
+struct Block
+{
+    Quad q0, q1, q2, q3;
+};
+static_assert(Cache::kBlockWays == 4 * sizeof(Quad) / sizeof(std::uint32_t),
+              "a block is four quads");
+
+Quad
+loadQuad(const std::uint32_t *row)
+{
+    Quad quad;
+    std::memcpy(&quad, row, sizeof quad);
+    return quad;
+}
+
+Block
+loadBlock(const std::uint32_t *row)
+{
+    return {loadQuad(row), loadQuad(row + 4), loadQuad(row + 8),
+            loadQuad(row + 12)};
+}
+
+/** All-ones in the lanes whose metadata byte has @p flag set. */
+Quad
+flagLanes(const std::uint8_t *meta, std::uint8_t flag)
+{
+    MetaQuad bytes;
+    std::memcpy(&bytes, meta, sizeof bytes);
+    return reinterpret_cast<Quad>(
+        (__builtin_convertvector(bytes, Quad) & flag) != 0);
+}
+
+Quad
+minQuad(Quad a, Quad b)
+{
+    return b < a ? b : a;
+}
+
+/** Bit i is set where lane i of @p block equals @p key. */
+unsigned
+matchMask(const Block &block, std::uint32_t key)
+{
+    const Quad bits =
+        (reinterpret_cast<Quad>(block.q0 == key) & Quad{1, 2, 4, 8}) |
+        (reinterpret_cast<Quad>(block.q1 == key) &
+         Quad{16, 32, 64, 128}) |
+        (reinterpret_cast<Quad>(block.q2 == key) &
+         Quad{256, 512, 1024, 2048}) |
+        (reinterpret_cast<Quad>(block.q3 == key) &
+         Quad{4096, 8192, 16384, 32768});
+    const Quad half = bits | __builtin_shufflevector(bits, bits, 2, 3,
+                                                     0, 1);
+    return half[0] | half[1];
+}
+
+} // namespace
 
 Cache::Cache(const CacheConfig &config, Dram &dram_module,
              EventQueue &queue)
@@ -15,12 +83,23 @@ Cache::Cache(const CacheConfig &config, Dram &dram_module,
     const std::uint64_t num_sets = cfg.numSets();
     SGCN_ASSERT(num_sets > 0 && isPowerOfTwo(num_sets),
                 "cache sets must be a power of two, got ", num_sets);
+    SGCN_ASSERT(cfg.useStampRenormThreshold < kNeverVictim,
+                "use stamps must stay below the padding stamp");
+    rowWays = static_cast<unsigned>(divCeil(cfg.ways, kBlockWays)) *
+              kBlockWays;
     const std::size_t lines =
-        static_cast<std::size_t>(num_sets) * cfg.ways;
-    lineTagUse.assign(lines, makeEntry(kInvalidTag, 0));
-    lineMeta.assign(lines, 0);
+        static_cast<std::size_t>(num_sets) * rowWays;
+    rowStorage.resize(2 * lines + kBlockWays);
+    const std::size_t misalign =
+        reinterpret_cast<std::uintptr_t>(rowStorage.data()) % kRowAlign;
+    const std::size_t offset =
+        (kRowAlign - misalign) % kRowAlign / sizeof(std::uint32_t);
+    lineTag = std::span(rowStorage.data() + offset, lines);
+    lineUse = std::span(lineTag.data() + lines, lines);
+    lineMeta.resize(lines);
     setMask = num_sets - 1;
     setShift = log2Floor(num_sets);
+    flush(); // every way invalid, padding stamped kNeverVictim
 
     // MSHR table: power of two at twice the capacity (minimum 16)
     // keeps the load factor at or below 1/2.
@@ -183,10 +262,66 @@ Cache::setIndex(Addr line_addr) const
     return (line_addr / kCachelineBytes) & setMask;
 }
 
-std::uint64_t
+std::uint32_t
 Cache::tagOf(Addr line_addr) const
 {
-    return (line_addr / kCachelineBytes) >> setShift;
+    const std::uint64_t tag = (line_addr / kCachelineBytes) >> setShift;
+    SGCN_ASSERT(tag < kInvalidTag, "line address past the 32-bit "
+                "tag range: ", line_addr);
+    return static_cast<std::uint32_t>(tag);
+}
+
+unsigned
+Cache::findWay(std::size_t base, std::uint32_t tag) const
+{
+    const auto *row = static_cast<const std::uint32_t *>(
+        __builtin_assume_aligned(lineTag.data() + base, kRowAlign));
+    for (unsigned b = 0; b < rowWays; b += kBlockWays) {
+        // Padding never matches, so the lowest set bit is the first
+        // way holding the tag, as a scalar walk would find it.
+        if (const unsigned mask = matchMask(loadBlock(row + b), tag))
+            return b + static_cast<unsigned>(__builtin_ctz(mask));
+    }
+    return kNoWay;
+}
+
+unsigned
+Cache::oldestWay(std::size_t base, bool pins) const
+{
+    const auto *row = static_cast<const std::uint32_t *>(
+        __builtin_assume_aligned(lineUse.data() + base, kRowAlign));
+    const std::uint8_t *meta = lineMeta.data() + base;
+    // One block's stamps as the policy ranks them: pinned ways are
+    // forced to kNeverVictim inside the vector (branch-free: they
+    // sit at scattered positions).
+    const auto stamps = [&](unsigned b) {
+        Block block = loadBlock(row + b);
+        if (pins) {
+            block.q0 |= flagLanes(meta + b, kLinePinned);
+            block.q1 |= flagLanes(meta + b + 4, kLinePinned);
+            block.q2 |= flagLanes(meta + b + 8, kLinePinned);
+            block.q3 |= flagLanes(meta + b + 12, kLinePinned);
+        }
+        return block;
+    };
+    Quad low = Quad{} + kNeverVictim;
+    for (unsigned b = 0; b < rowWays; b += kBlockWays) {
+        const Block block = stamps(b);
+        low = minQuad(low, minQuad(minQuad(block.q0, block.q1),
+                                   minQuad(block.q2, block.q3)));
+    }
+    low = minQuad(low, __builtin_shufflevector(low, low, 2, 3, 0, 1));
+    low = minQuad(low, __builtin_shufflevector(low, low, 1, 0, 3, 2));
+    const std::uint32_t oldest = low[0];
+    if (oldest == kNeverVictim)
+        return kNoWay; // every real way pinned
+    // The first way holding the minimum: invalid ways (stamp 0)
+    // come first, in way order, as the policy's tie rule requires.
+    for (unsigned b = 0; b < rowWays; b += kBlockWays) {
+        if (const unsigned mask = matchMask(stamps(b), oldest))
+            return b + static_cast<unsigned>(__builtin_ctz(mask));
+    }
+    return kNoWay;
 }
 
 std::uint32_t
@@ -204,23 +339,25 @@ Cache::renormalizeUseStamps()
     // stamps, so any order-preserving remap (ties included) is
     // behavior-identical; nonzero ranks start at 1 so 0 stays
     // strictly below every valid line's stamp — the invariant the
-    // fused invalid-first/min-use victim scan relies on.
+    // invalid-first/min-stamp victim pick relies on. Padding ways
+    // keep kNeverVictim.
+    const auto live = [](std::uint32_t use) {
+        return use != 0 && use != kNeverVictim;
+    };
     std::vector<std::uint32_t> sorted;
-    sorted.reserve(lineTagUse.size());
-    for (std::uint64_t entry : lineTagUse) {
-        if (entryUse(entry) != 0)
-            sorted.push_back(entryUse(entry));
+    sorted.reserve(lineUse.size());
+    for (std::uint32_t use : lineUse) {
+        if (live(use))
+            sorted.push_back(use);
     }
     std::sort(sorted.begin(), sorted.end());
     sorted.erase(std::unique(sorted.begin(), sorted.end()),
                  sorted.end());
-    for (std::uint64_t &entry : lineTagUse) {
-        const std::uint32_t use = entryUse(entry);
-        if (use != 0) {
-            const auto rank = static_cast<std::uint32_t>(
+    for (std::uint32_t &use : lineUse) {
+        if (live(use)) {
+            use = static_cast<std::uint32_t>(
                 std::lower_bound(sorted.begin(), sorted.end(), use) -
                 sorted.begin() + 1);
-            entry = makeEntry(entryTag(entry), rank);
         }
     }
     useCounter = sorted.size();
@@ -229,51 +366,41 @@ Cache::renormalizeUseStamps()
 std::size_t
 Cache::probe(Addr line_addr)
 {
-    const std::size_t base =
-        static_cast<std::size_t>(setIndex(line_addr)) * cfg.ways;
-    const std::uint64_t tag = tagOf(line_addr);
-    SGCN_ASSERT(tag < kInvalidTag, "line address past the 32-bit "
-                "tag range: ", line_addr);
-    const std::uint64_t *entries = lineTagUse.data() + base;
-    for (unsigned w = 0; w < cfg.ways; ++w) {
-        if (entryTag(entries[w]) == tag) {
-            const std::size_t index = base + w;
-            // FIFO keeps the fill timestamp; the others promote.
-            if (cfg.replacement != ReplacementPolicy::Fifo) {
-                lineTagUse[index] = makeEntry(
-                    static_cast<std::uint32_t>(tag), nextUseStamp());
-            }
-            lineMeta[index] &= static_cast<std::uint8_t>(
-                ~kRrpvMask); // SRRIP: re-referenced -> near
-            return index;
-        }
-    }
-    return kNoLine;
+    const std::size_t base = setBase(line_addr);
+    const unsigned way = findWay(base, tagOf(line_addr));
+    if (way == kNoWay)
+        return kNoLine;
+    // The promotion below may outrank the duplicate-access memo's
+    // line, which then is no longer MRU; drop the memo.
+    lastFunctionalAddr = ~Addr{0};
+    const std::size_t index = base + way;
+    // FIFO keeps the fill timestamp; the others promote.
+    if (cfg.replacement != ReplacementPolicy::Fifo)
+        lineUse[index] = nextUseStamp();
+    lineMeta[index] &= static_cast<std::uint8_t>(
+        ~kRrpvMask); // SRRIP: re-referenced -> near
+    return index;
 }
 
 std::size_t
 Cache::selectVictim(std::size_t base)
 {
     // The pinned checks only matter while DAVC pins are live; the
-    // global count lets the common case scan flag-free.
+    // global count lets the common case pick flag-free.
     const bool pins = pinnedLines != 0;
+    // Invalid ways stamp 0, strictly below every valid way's stamp
+    // (and are never pinned), so the first way holding the minimum
+    // stamp is the first invalid way whenever there is one. Under
+    // LRU/FIFO that one pick is both the invalid-first rule and the
+    // policy; the other policies take an invalid way outright.
+    const bool by_stamp = cfg.replacement == ReplacementPolicy::Lru ||
+                          cfg.replacement == ReplacementPolicy::Fifo;
+    const unsigned oldest = oldestWay(base, pins && by_stamp);
+    if (by_stamp)
+        return oldest == kNoWay ? kNoLine : base + oldest;
+    if (lineTag[base + oldest] == kInvalidTag)
+        return base + oldest;
     switch (cfg.replacement) {
-      case ReplacementPolicy::Lru:
-      case ReplacementPolicy::Fifo: {
-        std::size_t victim = kNoLine;
-        std::uint32_t best = ~0u;
-        for (unsigned w = 0; w < cfg.ways; ++w) {
-            const std::size_t index = base + w;
-            if (pins && (lineMeta[index] & kLinePinned))
-                continue;
-            if (victim == kNoLine ||
-                entryUse(lineTagUse[index]) < best) {
-                victim = index;
-                best = entryUse(lineTagUse[index]);
-            }
-        }
-        return victim;
-      }
       case ReplacementPolicy::Random: {
         // Deterministic xorshift over unpinned ways.
         unsigned candidates = 0;
@@ -321,8 +448,9 @@ Cache::selectVictim(std::size_t base)
                 return kNoLine;
         }
       }
+      default:
+        return kNoLine;
     }
-    return kNoLine;
 }
 
 std::size_t
@@ -331,58 +459,12 @@ Cache::fill(Addr line_addr, bool timing, TrafficClass cls)
     // Any fill may evict the line behind the duplicate-access fast
     // path (timing fills and pins included); drop the memo.
     lastFunctionalAddr = ~Addr{0};
-    const std::size_t base =
-        static_cast<std::size_t>(setIndex(line_addr)) * cfg.ways;
-
-    // Invalid lines win outright; otherwise the policy picks among
-    // unpinned lines. Fully pinned sets fall back to plain LRU so
-    // pinning can never deadlock the cache.
-    std::size_t victim = kNoLine;
-    if (cfg.replacement == ReplacementPolicy::Lru ||
-        cfg.replacement == ReplacementPolicy::Fifo) {
-        // Invalid lines carry a zero use stamp, strictly below every
-        // valid line's, so a single min-use scan implements both the
-        // invalid-first rule and the LRU/FIFO policy — one pass on
-        // the dominant (streaming-miss) path instead of three.
-        const std::uint64_t *entries = lineTagUse.data() + base;
-        if (pinnedLines == 0) {
-            unsigned bestw = 0;
-            for (unsigned w = 1; w < cfg.ways; ++w) {
-                if (entryUse(entries[w]) < entryUse(entries[bestw]))
-                    bestw = w;
-            }
-            victim = base + bestw;
-        } else {
-            std::uint32_t best = ~0u;
-            for (unsigned w = 0; w < cfg.ways; ++w) {
-                if (lineMeta[base + w] & kLinePinned)
-                    continue;
-                if (victim == kNoLine || entryUse(entries[w]) < best) {
-                    victim = base + w;
-                    best = entryUse(entries[w]);
-                }
-            }
-        }
-    } else {
-        for (unsigned w = 0; w < cfg.ways; ++w) {
-            if (entryTag(lineTagUse[base + w]) == kInvalidTag) {
-                victim = base + w;
-                break;
-            }
-        }
-        if (victim == kNoLine)
-            victim = selectVictim(base);
-    }
-    if (victim == kNoLine) {
-        std::uint32_t best = ~0u;
-        for (unsigned w = 0; w < cfg.ways; ++w) {
-            if (victim == kNoLine ||
-                entryUse(lineTagUse[base + w]) < best) {
-                victim = base + w;
-                best = entryUse(lineTagUse[base + w]);
-            }
-        }
-    }
+    const std::size_t base = setBase(line_addr);
+    // Fully pinned sets fall back to plain LRU so pinning can never
+    // deadlock the cache.
+    std::size_t victim = selectVictim(base);
+    if (victim == kNoLine)
+        victim = base + oldestWay(base, false);
     installAt(victim, line_addr, timing, cls);
     return victim;
 }
@@ -391,13 +473,13 @@ void
 Cache::installAt(std::size_t victim, Addr line_addr, bool timing,
                  TrafficClass cls)
 {
-    if (entryTag(lineTagUse[victim]) != kInvalidTag) {
+    if (lineTag[victim] != kInvalidTag) {
         ++statCounters.evictions;
         if (lineMeta[victim] & kLineDirty) {
             ++statCounters.writebacks;
             // Reconstruct the victim's address for the writeback.
             const Addr victim_addr =
-                (static_cast<Addr>(entryTag(lineTagUse[victim])) *
+                (static_cast<Addr>(lineTag[victim]) *
                      (setMask + 1) +
                  setIndex(line_addr)) *
                 kCachelineBytes;
@@ -416,11 +498,8 @@ Cache::installAt(std::size_t victim, Addr line_addr, bool timing,
 
     if (lineMeta[victim] & kLinePinned)
         --pinnedLines;
-    const std::uint64_t tag = tagOf(line_addr);
-    SGCN_ASSERT(tag < kInvalidTag, "line address past the 32-bit "
-                "tag range: ", line_addr);
-    lineTagUse[victim] = makeEntry(static_cast<std::uint32_t>(tag),
-                                   nextUseStamp());
+    lineTag[victim] = tagOf(line_addr);
+    lineUse[victim] = nextUseStamp();
     // SRRIP inserts at a distant re-reference prediction (2): a line
     // must prove reuse before it may displace proven lines.
     lineMeta[victim] = 2 << kRrpvShift;
@@ -570,36 +649,10 @@ bool
 Cache::accessFunctional(const MemRequest &request)
 {
     SGCN_ASSERT(isAligned(request.lineAddr, kCachelineBytes));
-    // Back-to-back accesses to one line (the read-modify-write
-    // partial-sum pattern) are guaranteed hits on an already-MRU
-    // line: skip the tag scan and the LRU promotion (the skipped
-    // useCounter tick shifts later stamps uniformly, preserving
-    // their order and thus every future eviction decision).
-    if (request.lineAddr == lastFunctionalAddr) {
-        ++statCounters.hits;
-        if (request.op == MemOp::Write)
-            lineMeta[lastFunctionalIndex] |= kLineDirty;
-        lineMeta[lastFunctionalIndex] &=
-            static_cast<std::uint8_t>(~kRrpvMask); // as probe would
-        return true;
-    }
-    const std::size_t hit = probe(request.lineAddr);
-    if (hit != kNoLine) {
-        lastFunctionalAddr = request.lineAddr;
-        lastFunctionalIndex = hit;
-        ++statCounters.hits;
-        if (request.op == MemOp::Write)
-            lineMeta[hit] |= kLineDirty;
-        return true;
-    }
-    ++statCounters.misses;
-    functionalTraffic.add(MemOp::Read, request.cls);
-    const std::size_t line = fill(request.lineAddr, false, request.cls);
-    lastFunctionalAddr = request.lineAddr;
-    lastFunctionalIndex = line;
-    if (request.op == MemOp::Write)
-        lineMeta[line] |= kLineDirty;
-    return false;
+    const std::uint64_t hits_before = statCounters.hits;
+    runFunctional(request.lineAddr, 1, request.op == MemOp::Write,
+                  false, request.cls);
+    return statCounters.hits != hits_before;
 }
 
 void
@@ -611,168 +664,88 @@ Cache::accessPlanFunctional(const AccessPlan &plan, MemOp op,
                             cls);
 }
 
+bool
+Cache::holds(Addr line_addr) const
+{
+    return findWay(setBase(line_addr), tagOf(line_addr)) != kNoWay;
+}
+
 void
 Cache::accessRunFunctional(Addr line_addr, std::uint32_t lines,
                            MemOp op, TrafficClass cls)
 {
-    // Per-line behavior is accessFunctional's exactly; statistics
-    // post once per run. Under LRU/FIFO, the tag scan and the
-    // min-stamp victim scan fuse into one pass over the set's packed
-    // tag/stamp entries (RRPV bookkeeping is dead under these
-    // policies and skipped). Live pins take a second fused loop, so
-    // this one stays free of per-way pin checks.
-    const bool write = (op == MemOp::Write);
-    const bool fused = cfg.replacement == ReplacementPolicy::Lru ||
-                       cfg.replacement == ReplacementPolicy::Fifo;
-    if (fused && pinnedLines != 0) {
-        accessRunPinnedFunctional(line_addr, lines, write, cls);
-        return;
-    }
-    const bool promote = cfg.replacement != ReplacementPolicy::Fifo;
-    std::uint32_t hit_lines = 0;
-    for (std::uint32_t i = 0; i < lines;
-         ++i, line_addr += kCachelineBytes) {
-        if (line_addr == lastFunctionalAddr) {
-            ++hit_lines;
-            if (write)
-                lineMeta[lastFunctionalIndex] |= kLineDirty;
-            if (!fused) {
-                lineMeta[lastFunctionalIndex] &=
-                    static_cast<std::uint8_t>(~kRrpvMask);
-            }
-            continue;
-        }
-        if (!fused) {
-            const std::size_t hit = probe(line_addr);
-            if (hit != kNoLine) {
-                lastFunctionalAddr = line_addr;
-                lastFunctionalIndex = hit;
-                ++hit_lines;
-                if (write)
-                    lineMeta[hit] |= kLineDirty;
-                continue;
-            }
-            const std::size_t line = fill(line_addr, false, cls);
-            lastFunctionalAddr = line_addr;
-            lastFunctionalIndex = line;
-            if (write)
-                lineMeta[line] |= kLineDirty;
-            continue;
-        }
-        const std::size_t base =
-            static_cast<std::size_t>(setIndex(line_addr)) * cfg.ways;
-        const std::uint64_t tag = tagOf(line_addr);
-        SGCN_ASSERT(tag < kInvalidTag, "line address past the "
-                    "32-bit tag range: ", line_addr);
-        std::uint64_t *entries = lineTagUse.data() + base;
-        std::size_t hitw = kNoLine;
-        unsigned bestw = 0;
-        std::uint32_t bestuse = ~0u;
-        for (unsigned w = 0; w < cfg.ways; ++w) {
-            const std::uint64_t entry = entries[w];
-            if (entryTag(entry) == tag) {
-                hitw = w;
-                break;
-            }
-            // Invalid lines stamp 0: one min scan is invalid-first
-            // plus LRU/FIFO at once (see fill()).
-            if (entryUse(entry) < bestuse) {
-                bestuse = entryUse(entry);
-                bestw = w;
-            }
-        }
-        if (hitw != kNoLine) {
-            ++hit_lines;
-            if (promote) {
-                entries[hitw] = makeEntry(
-                    static_cast<std::uint32_t>(tag), nextUseStamp());
-            }
-            lastFunctionalAddr = line_addr;
-            lastFunctionalIndex = base + hitw;
-            if (write)
-                lineMeta[base + hitw] |= kLineDirty;
-            continue;
-        }
-        const std::size_t victim = base + bestw;
-        installAt(victim, line_addr, false, cls);
-        lastFunctionalAddr = line_addr;
-        lastFunctionalIndex = victim;
-        if (write)
-            lineMeta[victim] |= kLineDirty;
-    }
-    statCounters.hits += hit_lines;
-    statCounters.misses += lines - hit_lines;
-    if (hit_lines != lines)
-        functionalTraffic.add(MemOp::Read, cls, lines - hit_lines);
+    runFunctional(line_addr, lines, op == MemOp::Write, false, cls);
 }
 
 void
-Cache::accessRunPinnedFunctional(Addr line_addr, std::uint32_t lines,
-                                 bool write, TrafficClass cls)
+Cache::accessRunRmwFunctional(Addr line_addr, std::uint32_t lines,
+                              TrafficClass cls)
 {
-    // accessRunFunctional's fused LRU/FIFO pass with pinned ways
-    // ranked behind every stamp, so the min scan picks fill()'s
-    // victim: the first least-recent unpinned way. A set left with
-    // no candidate takes fill() itself (its all-pinned fallback).
+    runFunctional(line_addr, lines, true, true, cls);
+}
+
+void
+Cache::runFunctional(Addr line_addr, std::uint32_t lines, bool write,
+                     bool rmw, TrafficClass cls)
+{
+    // Statistics post once per run. Under LRU/FIFO a miss installs
+    // straight at oldestWay instead of re-resolving the set through
+    // fill(), and the RRPV bookkeeping (dead under these policies)
+    // is skipped. Whether pins are live is decided once per run: the
+    // victim pick then folds them into its vector (EnGN's DAVC), and
+    // a set whose every way is pinned takes fill()'s fallback.
+    const bool fused = cfg.replacement == ReplacementPolicy::Lru ||
+                       cfg.replacement == ReplacementPolicy::Fifo;
     const bool promote = cfg.replacement != ReplacementPolicy::Fifo;
+    const bool pins = pinnedLines != 0;
     std::uint32_t hit_lines = 0;
     for (std::uint32_t i = 0; i < lines;
          ++i, line_addr += kCachelineBytes) {
+        std::size_t line;
+        // Back-to-back accesses to one line (the read-modify-write
+        // partial-sum pattern) are guaranteed hits on an already-MRU
+        // line: skip the tag match and the LRU promotion (the
+        // skipped useCounter tick shifts later stamps uniformly,
+        // preserving their order and thus every future eviction).
         if (line_addr == lastFunctionalAddr) {
             ++hit_lines;
-            if (write)
-                lineMeta[lastFunctionalIndex] |= kLineDirty;
-            continue;
-        }
-        const std::size_t base =
-            static_cast<std::size_t>(setIndex(line_addr)) * cfg.ways;
-        const std::uint64_t tag = tagOf(line_addr);
-        SGCN_ASSERT(tag < kInvalidTag, "line address past the "
-                    "32-bit tag range: ", line_addr);
-        std::uint64_t *entries = lineTagUse.data() + base;
-        const std::uint8_t *meta = lineMeta.data() + base;
-        std::size_t hitw = kNoLine;
-        unsigned bestw = cfg.ways;
-        std::uint32_t bestuse = ~0u;
-        for (unsigned w = 0; w < cfg.ways; ++w) {
-            const std::uint64_t entry = entries[w];
-            if (entryTag(entry) == tag) {
-                hitw = w;
-                break;
+            line = lastFunctionalIndex;
+            if (!fused) {
+                lineMeta[line] &= static_cast<std::uint8_t>(
+                    ~kRrpvMask);
             }
-            // Branch-free: pinned ways sit at scattered positions, so
-            // a skip branch here mispredicts on most sets.
-            const std::uint32_t pinned = 0u - static_cast<std::uint32_t>(
-                (meta[w] & kLinePinned) != 0);
-            const std::uint32_t use = entryUse(entry) | pinned;
-            if (use < bestuse) {
-                bestuse = use;
-                bestw = w;
+        } else if (!fused) {
+            line = probe(line_addr);
+            if (line != kNoLine)
+                ++hit_lines;
+            else
+                line = fill(line_addr, false, cls);
+        } else {
+            const std::size_t base = setBase(line_addr);
+            const unsigned way = findWay(base, tagOf(line_addr));
+            if (way != kNoWay) {
+                ++hit_lines;
+                line = base + way;
+                if (promote)
+                    lineUse[line] = nextUseStamp();
+            } else if (const unsigned victim = oldestWay(base, pins);
+                       victim != kNoWay) {
+                line = base + victim;
+                installAt(line, line_addr, false, cls);
+            } else {
+                line = fill(line_addr, false, cls);
             }
         }
-        if (hitw != kNoLine) {
-            ++hit_lines;
-            if (promote) {
-                entries[hitw] = makeEntry(
-                    static_cast<std::uint32_t>(tag), nextUseStamp());
-            }
-            lastFunctionalAddr = line_addr;
-            lastFunctionalIndex = base + hitw;
-            if (write)
-                lineMeta[base + hitw] |= kLineDirty;
-            continue;
-        }
-        std::size_t victim = base + bestw;
-        if (bestw == cfg.ways)
-            victim = fill(line_addr, false, cls);
-        else
-            installAt(victim, line_addr, false, cls);
         lastFunctionalAddr = line_addr;
-        lastFunctionalIndex = victim;
+        lastFunctionalIndex = line;
         if (write)
-            lineMeta[victim] |= kLineDirty;
+            lineMeta[line] |= kLineDirty;
+        // The read-modify-write's write is a duplicate access as
+        // above: a hit that dirties (and re-references) the line.
+        if (rmw && !fused)
+            lineMeta[line] &= static_cast<std::uint8_t>(~kRrpvMask);
     }
-    statCounters.hits += hit_lines;
+    statCounters.hits += hit_lines + (rmw ? lines : 0);
     statCounters.misses += lines - hit_lines;
     if (hit_lines != lines)
         functionalTraffic.add(MemOp::Read, cls, lines - hit_lines);
@@ -781,8 +754,7 @@ Cache::accessRunPinnedFunctional(Addr line_addr, std::uint32_t lines,
 bool
 Cache::pin(Addr line_addr, TrafficClass cls)
 {
-    const std::size_t base =
-        static_cast<std::size_t>(setIndex(line_addr)) * cfg.ways;
+    const std::size_t base = setBase(line_addr);
     unsigned pinned = 0;
     for (unsigned w = 0; w < cfg.ways; ++w)
         pinned += (lineMeta[base + w] & kLinePinned) ? 1 : 0;
@@ -815,15 +787,18 @@ Cache::unpinAll()
 void
 Cache::flush()
 {
-    for (std::size_t i = 0; i < lineTagUse.size(); ++i) {
-        if (entryTag(lineTagUse[i]) != kInvalidTag &&
-            (lineMeta[i] & kLineDirty)) {
-            ++statCounters.writebacks;
-            functionalTraffic.add(MemOp::Write,
-                                  TrafficClass::FeatureOut);
+    for (std::size_t base = 0; base < lineTag.size(); base += rowWays) {
+        for (unsigned w = 0; w < rowWays; ++w) {
+            const std::size_t i = base + w;
+            if (lineTag[i] != kInvalidTag && (lineMeta[i] & kLineDirty)) {
+                ++statCounters.writebacks;
+                functionalTraffic.add(MemOp::Write,
+                                      TrafficClass::FeatureOut);
+            }
+            lineTag[i] = kInvalidTag;
+            lineUse[i] = w < cfg.ways ? 0 : kNeverVictim;
+            lineMeta[i] = 0;
         }
-        lineTagUse[i] = makeEntry(kInvalidTag, 0);
-        lineMeta[i] = 0;
     }
     pinnedLines = 0;
     lastFunctionalAddr = ~Addr{0};

@@ -8,13 +8,24 @@
  * DRAM model through the event queue) and a functional interface
  * (tag-array-only, used by the fast estimation mode). Both share the
  * same tag array logic so hit rates agree by construction.
+ *
+ * Each set keeps a row of 32-bit tags and a separate row of 32-bit
+ * use stamps, padded to a whole number of 16-way blocks with
+ * sentinel ways and stored 64-byte aligned, so a Table III set's
+ * tags fill exactly one host cacheline. Every probe resolves a set
+ * with two vector helpers: a hit is one compare of the tag against
+ * the whole tag row plus a count-trailing-zeros of the match mask,
+ * and an LRU/FIFO victim is the first way holding the row's minimum
+ * stamp (vector min, broadcast compare, count-trailing-zeros). One
+ * code path serves every associativity.
  */
 
 #ifndef SGCN_MEM_CACHE_HH
 #define SGCN_MEM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <vector>
 
 #include "mem/access_plan.hh"
@@ -114,6 +125,10 @@ class Cache
     Cache(const CacheConfig &config, Dram &dram, EventQueue &queue);
     ~Cache();
 
+    /** lineTag/lineUse view their own rowStorage. */
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
+
     /**
      * Timing access. The completion callback fires after the hit
      * latency on a hit, or after the DRAM fill on a miss. Misses to a
@@ -159,13 +174,24 @@ class Cache
     /**
      * Functional access of @p lines consecutive lines starting at
      * @p line_addr — one plan run. Under LRU/FIFO (with or without
-     * live pins) each line resolves in a single fused pass that
-     * scans for the tag and tracks the min-stamp victim at once;
-     * statistics post per run, not per line. Bit-identical to
-     * accessFunctional per line.
+     * live pins) each line costs one vector tag match and, on a
+     * miss, one vector min-stamp victim pick, installing without a
+     * second probe; statistics post per run, not per line.
+     * Bit-identical to accessFunctional per line.
      */
     void accessRunFunctional(Addr line_addr, std::uint32_t lines,
                              MemOp op, TrafficClass cls);
+
+    /**
+     * Read-modify-write of @p lines consecutive lines starting at
+     * @p line_addr (the column-product partial-sum update): per
+     * line, a read then a write. Bit-identical to accessFunctional
+     * called with the read and then the write for each line; the
+     * write always hits and marks the line dirty, so each line is
+     * probed once.
+     */
+    void accessRunRmwFunctional(Addr line_addr, std::uint32_t lines,
+                                TrafficClass cls);
 
     /**
      * Pin the line at @p line_addr: functionally install it, count
@@ -175,6 +201,10 @@ class Cache
      */
     bool pin(Addr line_addr, TrafficClass cls);
 
+    /** Whether @p line_addr is resident. No side effects: neither
+     *  the replacement state nor the statistics change. */
+    bool holds(Addr line_addr) const;
+
     /** Unpin every line (e.g. between layers). */
     void unpinAll();
 
@@ -182,18 +212,18 @@ class Cache
     void flush();
 
     /**
-     * Hint that @p line_addr will be probed shortly: prefetch its
-     * set's tag and use slots. The fast sweeps know the next access
-     * a few dozen cycles ahead, enough to hide the L2 latency of the
-     * tag array's random-set walk. No architectural effect.
+     * Hint that @p line_addr will be probed shortly: prefetch the
+     * first block of its set's tag and stamp rows (a whole Table III
+     * set). The fast sweeps know the next access a few dozen cycles
+     * ahead, enough to hide the L2 latency of the tag array's
+     * random-set walk. No architectural effect.
      */
     void
     prefetchSet(Addr line_addr) const
     {
-        const std::size_t base = static_cast<std::size_t>(
-            (line_addr / kCachelineBytes) & setMask) * cfg.ways;
-        __builtin_prefetch(lineTagUse.data() + base);
-        __builtin_prefetch(lineTagUse.data() + base + cfg.ways / 2);
+        const std::size_t base = setBase(line_addr);
+        __builtin_prefetch(lineTag.data() + base);
+        __builtin_prefetch(lineUse.data() + base);
     }
 
     /** Cache statistics. */
@@ -214,11 +244,28 @@ class Cache
     /** Reset statistics (not cache contents). */
     void resetStats();
 
+    /** Ways per vector block: sixteen 32-bit lanes, one 64-byte
+     *  host cacheline. Sets are padded to a whole number of blocks. */
+    static constexpr unsigned kBlockWays = 16;
+
   private:
-    /** Sentinel tag for an invalid line. Tags are 32-bit: the
-     *  modeled address space ends below 4 GB (AddressMap), so real
-     *  tags stay far under the sentinel (asserted on install). */
+    /** Sentinel tag for an invalid line and for the padding ways.
+     *  Tags are 32-bit: the modeled address space ends below 4 GB
+     *  (AddressMap), so real tags stay far under the sentinel
+     *  (asserted on every probe) and never match it. */
     static constexpr std::uint32_t kInvalidTag = ~0u;
+
+    /** Use stamp of a padding way: above every real stamp (the
+     *  renormalization threshold is asserted below it), so a padding
+     *  way is never the minimum. Pinned ways take it too while the
+     *  pinned victim pick runs. */
+    static constexpr std::uint32_t kNeverVictim = ~0u;
+
+    /** findWay/oldestWay result when no way qualifies. */
+    static constexpr unsigned kNoWay = ~0u;
+
+    /** Alignment of every set row: one host cacheline. */
+    static constexpr std::size_t kRowAlign = 64;
 
     /** Bits of the per-line metadata byte: dirty/pinned flags plus
      *  the SRRIP re-reference prediction value (0 = imminent). */
@@ -226,23 +273,6 @@ class Cache
     static constexpr std::uint8_t kLinePinned = 2;
     static constexpr unsigned kRrpvShift = 2;
     static constexpr std::uint8_t kRrpvMask = 3 << kRrpvShift;
-
-    /** Tag/stamp packing for the lineTagUse entries. */
-    static std::uint32_t
-    entryTag(std::uint64_t entry)
-    {
-        return static_cast<std::uint32_t>(entry);
-    }
-    static std::uint32_t
-    entryUse(std::uint64_t entry)
-    {
-        return static_cast<std::uint32_t>(entry >> 32);
-    }
-    static std::uint64_t
-    makeEntry(std::uint32_t tag, std::uint32_t use)
-    {
-        return (static_cast<std::uint64_t>(use) << 32) | tag;
-    }
 
     static constexpr std::size_t kNoLine = ~std::size_t{0};
 
@@ -282,7 +312,29 @@ class Cache
     };
 
     std::uint64_t setIndex(Addr line_addr) const;
-    std::uint64_t tagOf(Addr line_addr) const;
+
+    /** Flat index of the first way of @p line_addr's set. */
+    std::size_t
+    setBase(Addr line_addr) const
+    {
+        return static_cast<std::size_t>(
+                   (line_addr / kCachelineBytes) & setMask) *
+               rowWays;
+    }
+
+    /** The 32-bit tag of @p line_addr (asserted below kInvalidTag). */
+    std::uint32_t tagOf(Addr line_addr) const;
+
+    /** First way of the set at @p base whose tag is @p tag, or
+     *  kNoWay: one vector compare per block, then the lowest set bit
+     *  of the match mask. */
+    unsigned findWay(std::size_t base, std::uint32_t tag) const;
+
+    /** First way of the set at @p base holding the minimum use
+     *  stamp (invalid ways stamp 0, so they win first). With
+     *  @p pins, pinned ways rank as kNeverVictim, and a set with no
+     *  unpinned way returns kNoWay. */
+    unsigned oldestWay(std::size_t base, bool pins) const;
 
     /** Probe for @p line_addr; updates LRU on hit. Returns the hit
      *  line's flat index, or kNoLine on miss. */
@@ -303,11 +355,11 @@ class Cache
     void installAt(std::size_t victim, Addr line_addr, bool timing,
                    TrafficClass cls);
 
-    /** accessRunFunctional under LRU/FIFO while pins are live (the
-     *  EnGN DAVC case): the same fused scan, with pinned ways chosen
-     *  as victims only when the whole set is pinned, as in fill(). */
-    void accessRunPinnedFunctional(Addr line_addr, std::uint32_t lines,
-                                   bool write, TrafficClass cls);
+    /** The functional paths (accessFunctional, accessRunFunctional,
+     *  accessRunRmwFunctional): every line is accessed as @p write;
+     *  @p rmw adds the write-after-read hit per line. */
+    void runFunctional(Addr line_addr, std::uint32_t lines, bool write,
+                       bool rmw, TrafficClass cls);
 
     /** Start servicing a miss: allocate MSHR and fetch from DRAM. */
     void startMiss(const MemRequest &request, MemCallback done);
@@ -337,8 +389,9 @@ class Cache
     /** Admit queued requests into freed MSHRs. */
     void drainPendingQueue();
 
-    /** Pick the replacement victim in the set whose first line sits
-     *  at flat index @p base (no invalid lines in the set). Returns
+    /** Pick the replacement victim among the real ways of the set
+     *  whose first line sits at flat index @p base: an invalid way
+     *  first, else the policy's pick among unpinned ways. Returns
      *  kNoLine when every candidate is pinned. */
     std::size_t selectVictim(std::size_t base);
 
@@ -346,9 +399,10 @@ class Cache
      *  reaches the configured threshold so stamps stay 32-bit. */
     std::uint32_t nextUseStamp();
 
-    /** Dense-rank every use stamp, preserving order (policies only
-     *  ever compare stamps) and keeping 0 reserved for invalid
-     *  lines, then restart the counter above the largest rank. */
+    /** Dense-rank every real way's use stamp, preserving order
+     *  (policies only ever compare stamps) and keeping 0 reserved
+     *  for invalid lines and kNeverVictim for padding, then restart
+     *  the counter above the largest rank. */
     void renormalizeUseStamps();
 
     CacheConfig cfg;
@@ -359,28 +413,44 @@ class Cache
     std::uint64_t setMask = 0;
     unsigned setShift = 0;
     std::uint64_t victimSeed = 0x5eed;
+    /** Ways per set row: cfg.ways rounded up to whole kBlockWays
+     *  blocks. Ways cfg.ways..rowWays-1 are padding sentinels. */
+    unsigned rowWays = 0;
     /**
-     * Tag (low 32 bits) and LRU/FIFO use stamp (high 32 bits) of
-     * each line, one flat slot per line at index set * ways + way.
-     * The probe's tag scan and the fill's min-stamp victim scan —
-     * the fast-mode hot paths, hundreds of millions of calls per
-     * sweep — thereby touch the same one or two cachelines per set.
-     * Validity is folded in as kInvalidTag with stamp 0, strictly
-     * below every valid line's stamp (the counter starts at 1 and
-     * renormalization keeps 0 reserved; see
-     * CacheConfig::useStampRenormThreshold).
+     * Tag of each line, one flat slot per way at index
+     * set * rowWays + way, so a set's tag row is contiguous and
+     * 64-byte aligned: a 16-way set is one host cacheline, matched
+     * against a probe's tag in one vector compare (the fast-mode hot
+     * path, hundreds of millions of probes per sweep). Invalid ways
+     * and padding ways hold kInvalidTag.
      */
-    std::vector<std::uint64_t> lineTagUse;
+    std::span<std::uint32_t> lineTag;
+    /**
+     * LRU/FIFO use stamp of each line, indexed like lineTag, so the
+     * victim pick is a vector min over one aligned row. Validity is
+     * folded in as stamp 0 on invalid ways, strictly below every
+     * valid line's stamp (the counter starts at 1 and
+     * renormalization keeps 0 reserved; see
+     * CacheConfig::useStampRenormThreshold); padding ways hold
+     * kNeverVictim, strictly above.
+     */
+    std::span<std::uint32_t> lineUse;
+    /** Backing store of lineTag and lineUse: one plain allocation
+     *  with a block of slack, so both rows start on a host
+     *  cacheline. (An aligned operator new per row measured 4 MB
+     *  more peak RSS over a sweep's many short-lived caches.) */
+    std::vector<std::uint32_t> rowStorage;
     /** Per-line dirty/pinned flags and SRRIP RRPV (see the kLine*
-     *  constants). */
+     *  constants), indexed like lineTag; padding ways stay 0. */
     std::vector<std::uint8_t> lineMeta;
     /** Lines currently pinned, so the common unpinned case skips
      *  per-way pinned checks and unpinAll is O(1). */
     std::uint64_t pinnedLines = 0;
-    /** Duplicate-access memo for accessFunctional: the last line it
-     *  touched is resident and MRU, so an immediate re-access (the
-     *  read-modify-write psum pattern) needs no tag scan. Any fill
-     *  or flush invalidates it. */
+    /** Duplicate-access memo of the functional paths: the last line
+     *  they touched is resident and MRU, so an immediate re-access
+     *  (the read-modify-write psum pattern) needs no tag match. Any fill,
+     *  probe hit (which promotes another line past it) or flush
+     *  invalidates it. */
     Addr lastFunctionalAddr = ~Addr{0};
     std::size_t lastFunctionalIndex = 0;
     /** Open-addressing MSHR table: power-of-two sized at twice the
