@@ -32,10 +32,10 @@ enum class ExecutionMode
 
 /**
  * The three dataflow shapes covering the compared personalities
- * (Table I). Each value keys a strategy in the dataflow registry
- * (src/accel/dataflow/registry.hh); adding a personality with a new
- * dataflow means adding a strategy file and a registry entry, not
- * editing the layer engine.
+ * (Table I). Each value has a fast and a timing path declared in
+ * src/accel/dataflow/dataflow.hh, and LayerEngine::run switches over
+ * the kinds with no default: adding a dataflow means one file plus
+ * one `case`, and a kind without a case is a -Wswitch warning.
  */
 enum class DataflowKind : std::uint8_t
 {
@@ -77,22 +77,8 @@ struct AccelConfig
     // Dataflow (Table I)
     // ------------------------------------------------------------------
 
-    /** Dataflow strategy executed for intermediate layers. */
+    /** Dataflow executed for intermediate layers. */
     DataflowKind dataflow = DataflowKind::AggFirstRowProduct;
-
-    /** Aggregation-first row product (SGCN, HyGCN, ...). */
-    bool
-    aggregationFirst() const
-    {
-        return dataflow == DataflowKind::AggFirstRowProduct;
-    }
-
-    /** Column-product aggregation (AWB-GCN). */
-    bool
-    columnProduct() const
-    {
-        return dataflow == DataflowKind::ColumnProduct;
-    }
 
     // ------------------------------------------------------------------
     // Intermediate feature format
@@ -192,13 +178,6 @@ struct AccelConfig
     // ------------------------------------------------------------------
 
     AccelDescriptor energyDesc;
-
-    /** True if the configured format compresses features. */
-    bool
-    compressedFeatures() const
-    {
-        return format != FormatKind::Dense;
-    }
 
     /** Render the Table III style configuration block. */
     std::string describe() const;

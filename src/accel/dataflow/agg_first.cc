@@ -1,4 +1,4 @@
-#include "accel/dataflow/agg_first.hh"
+#include "accel/dataflow/dataflow.hh"
 
 #include <algorithm>
 
@@ -9,16 +9,7 @@ namespace sgcn
 {
 
 void
-AggFirstDataflow::run(EngineContext &ec, LayerResult &result) const
-{
-    if (ec.mode == ExecutionMode::Fast)
-        runFast(ec, result);
-    else
-        runTiming(ec, result);
-}
-
-void
-AggFirstDataflow::runFast(EngineContext &ec, LayerResult &result) const
+aggFirstFast(EngineContext &ec, LayerResult &result)
 {
     const VertexId n = ec.layer.graph->numVertices();
     const FeatureLayout &in = *ec.layer.inLayout;
@@ -72,7 +63,7 @@ AggFirstDataflow::runFast(EngineContext &ec, LayerResult &result) const
         result.aggCycles += phase.aggTime;
         result.combCycles += phase.combTime;
     }
-    ec.mem->cache().unpinAll();
+    ec.cache.unpinAll();
     result.cycles = EngineContext::pipelineTiles(tiles);
 
     // Phase timeline under the tile pipeline: aggregation streams
@@ -109,8 +100,7 @@ AggFirstDataflow::runFast(EngineContext &ec, LayerResult &result) const
 }
 
 void
-AggFirstDataflow::runTiming(EngineContext &ec,
-                            LayerResult &result) const
+aggFirstTiming(EngineContext &ec, LayerResult &result)
 {
     const VertexId n = ec.layer.graph->numVertices();
     const FeatureLayout &in = *ec.layer.inLayout;

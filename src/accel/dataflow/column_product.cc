@@ -1,4 +1,4 @@
-#include "accel/dataflow/column_product.hh"
+#include "accel/dataflow/dataflow.hh"
 
 #include <algorithm>
 #include <memory>
@@ -44,19 +44,7 @@ synthesizeColumnProductSpans(LayerSchedule &schedule, unsigned strips)
 } // namespace
 
 void
-ColumnProductDataflow::run(EngineContext &ec, LayerResult &result) const
-{
-    SGCN_ASSERT(ec.psumBuffer,
-                "column product requires accumulator banks");
-    if (ec.mode == ExecutionMode::Fast)
-        runFast(ec, result);
-    else
-        runTiming(ec, result);
-}
-
-void
-ColumnProductDataflow::runFast(EngineContext &ec,
-                               LayerResult &result) const
+columnProductFast(EngineContext &ec, LayerResult &result)
 {
     const CsrGraph &graph = *ec.layer.graph;
     const VertexId n = graph.numVertices();
@@ -214,8 +202,7 @@ ColumnProductDataflow::runFast(EngineContext &ec,
 }
 
 void
-ColumnProductDataflow::runTiming(EngineContext &ec,
-                                 LayerResult &result) const
+columnProductTiming(EngineContext &ec, LayerResult &result)
 {
     const VertexId n = ec.layer.graph->numVertices();
     const FeatureLayout &in = *ec.layer.inLayout;
@@ -223,7 +210,7 @@ ColumnProductDataflow::runTiming(EngineContext &ec,
 
     // Streaming input reads (combination) run concurrently with the
     // column-product aggregation: AWB-GCN pipelines the two phases.
-    // One X pass per partial-sum strip (see runFast).
+    // One X pass per partial-sum strip (see columnProductFast).
     const unsigned strips = static_cast<unsigned>(
         divCeil(ec.layer.outWidth, ec.psumStripWidth()));
     auto input_dma = std::make_shared<StreamDma>(ec, 128);

@@ -1,23 +1,20 @@
 /**
  * @file
- * Dataflow strategy interface.
+ * The dataflow shapes of Table I, one fast (functional cache +
+ * roofline) and one timing (event-driven engines) path each.
+ * LayerEngine::run picks one with a closed DataflowKind x mode
+ * switch; adding a dataflow is one file plus one `case` there.
  *
- * A Dataflow simulates one GCN layer's access stream and cycle count
- * on the shared substrate held by an EngineContext. Each concrete
- * strategy owns both execution paths: fast (functional cache +
- * roofline) and timing (event-driven engines), dispatched on
- * EngineContext::mode. Strategies are stateless — all per-layer
- * state lives in the EngineContext — so one registered instance
- * serves every layer engine.
- *
- * Concrete strategies:
- *  - AggFirstDataflow (agg_first.hh): aggregation-first row product
- *  - CombFirstDataflow (comb_first.hh): combination-first row product
- *  - ColumnProductDataflow (column_product.hh): column product
- *
- * Strategies are selected through the registry (registry.hh) keyed
- * by DataflowKind, so adding a fourth dataflow is an add-a-file
- * change plus one registry entry.
+ * Every path simulates one layer on the substrate held by @p ec and
+ * accumulates into @p result. Besides the merged totals it must fill
+ * result.schedule with the layer's phase timeline (layer-local,
+ * cycle 0 = the layer start; timing paths measure against
+ * ec.layerBase) such that schedule.criticalEnd() equals
+ * result.cycles, and install the per-tile spans — the network
+ * pipeline chains these schedules across layers. LayerEngine
+ * finalizes weight traffic, prepends the weight stream as the
+ * schedule's input-DMA prefix, and computes the mode-independent
+ * statistics afterwards.
  */
 
 #ifndef SGCN_ACCEL_DATAFLOW_DATAFLOW_HH
@@ -30,28 +27,26 @@ namespace sgcn
 
 struct EngineContext;
 
-/** One dataflow shape's layer simulation (both execution modes). */
-class Dataflow
-{
-  public:
-    virtual ~Dataflow() = default;
+/** Aggregation-first row product (agg_first.cc; SGCN, GCNAX, HyGCN,
+ *  EnGN, I-GCN intermediate layers): sweep A.X^l per destination
+ *  tile, then feed the tile into the combination systolic arrays,
+ *  with the two phases pipelined at block granularity. */
+void aggFirstFast(EngineContext &ec, LayerResult &result);
+void aggFirstTiming(EngineContext &ec, LayerResult &result);
 
-    /** Human-readable strategy name (logs, registry errors). */
-    virtual const char *name() const = 0;
+/** Combination-first row product (comb_first.cc): X^l . W^l as one
+ *  streaming GEMM pass into the psum region, then the aggregation
+ *  sweep over the dense X.W matrix and the output pass. Also every
+ *  row-product personality's input layer (SIII-A). */
+void combFirstFast(EngineContext &ec, LayerResult &result);
+void combFirstTiming(EngineContext &ec, LayerResult &result);
 
-    /** Simulate one layer in ec.mode, accumulating into @p result.
-     *
-     *  Besides the merged totals, every strategy must fill
-     *  result.schedule with the layer's phase timeline (layer-local,
-     *  cycle 0 = the layer start; timing paths measure against
-     *  ec.layerBase) such that schedule.criticalEnd() equals
-     *  result.cycles — the network pipeline chains these schedules
-     *  across layers. The caller (LayerEngine) finalizes weight
-     *  traffic, prepends the weight stream as the schedule's
-     *  input-DMA prefix, and computes the mode-independent
-     *  statistics afterwards. */
-    virtual void run(EngineContext &ec, LayerResult &result) const = 0;
-};
+/** Column product (column_product.cc; AWB-GCN): input feature rows
+ *  stream in source order with zero-skipping in the datapath; every
+ *  out-edge read-modify-writes the destination's partial-sum strip
+ *  in the distributed accumulator banks (Fig. 14). */
+void columnProductFast(EngineContext &ec, LayerResult &result);
+void columnProductTiming(EngineContext &ec, LayerResult &result);
 
 } // namespace sgcn
 

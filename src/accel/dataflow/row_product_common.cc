@@ -74,7 +74,7 @@ sweepTileFast(EngineContext &ec, const TiledGraphView &view,
             }
         }
 
-        const Cache &shared = ec.mem->cache();
+        const Cache &shared = ec.cache;
         const FeatureLayout::SlicePlan *table = layout.sliceTable();
         for (unsigned s = 0; s < slices; ++s) {
             // Software pipeline over the tile's pick stream:
@@ -124,11 +124,12 @@ sweepTileFast(EngineContext &ec, const TiledGraphView &view,
                     }
                     if (pe.lines !=
                         FeatureLayout::SlicePlan::kMultiRun) {
-                        ec.cacheRun(pe.addr, pe.lines, MemOp::Read,
-                                    cls);
+                        ec.cache.accessRunFunctional(
+                            pe.addr, pe.lines, MemOp::Read, cls);
                     } else {
-                        ec.cachePlan(layout.planSliceRead(picks[i], s),
-                                     MemOp::Read, cls);
+                        ec.cache.accessPlanFunctional(
+                            layout.planSliceRead(picks[i], s),
+                            MemOp::Read, cls);
                     }
                     compute += std::max<Cycle>(
                         1, divCeil(pe.values, ec.cfg.simdLanes));

@@ -9,15 +9,15 @@ namespace sgcn
 
 EngineContext::EngineContext(const AccelConfig &config,
                              const LayerContext &layer_ctx)
-    : cfg(config), layer(layer_ctx), systolic(config.systolic)
+    : cfg(config), layer(layer_ctx), dram(config.dram, events),
+      cache(config.cache, dram, events), systolic(config.systolic)
 {
-    mem = std::make_unique<MemorySystem>(cfg.cache, cfg.dram, events);
     if (cfg.dataflow == DataflowKind::ColumnProduct) {
         CacheConfig psum_config;
         psum_config.sizeBytes = cfg.psumBufferKb * 1024;
         psum_config.ways = 16;
-        psumBuffer = std::make_unique<Cache>(psum_config, mem->dram(),
-                                             events);
+        psumBuffer =
+            std::make_unique<Cache>(psum_config, dram, events);
     }
 }
 
@@ -79,17 +79,25 @@ EngineContext::Snapshot
 EngineContext::snapshot() const
 {
     Snapshot snap;
-    snap.dramLines = mem->offChipTraffic().totalLines() +
-                     fastStreamTraffic.totalLines();
-    const CacheStats &stats = mem->cache().stats();
+    snap.dramLines = offChipTraffic().totalLines();
+    const CacheStats &stats = cache.stats();
     snap.cacheAccesses = stats.hits + stats.misses;
     if (psumBuffer) {
-        snap.dramLines +=
-            psumBuffer->functionalDramTraffic().totalLines();
         const CacheStats &psum_stats = psumBuffer->stats();
         snap.psumAccesses = psum_stats.hits + psum_stats.misses;
     }
     return snap;
+}
+
+TrafficCounters
+EngineContext::offChipTraffic() const
+{
+    TrafficCounters total = dram.traffic();
+    total.merge(cache.functionalDramTraffic());
+    if (psumBuffer)
+        total.merge(psumBuffer->functionalDramTraffic());
+    total.merge(fastStreamTraffic);
+    return total;
 }
 
 Cycle
@@ -124,20 +132,6 @@ EngineContext::streamPlan(const AccessPlan &plan, MemOp op,
 }
 
 void
-EngineContext::cachePlan(const AccessPlan &plan, MemOp op,
-                         TrafficClass cls)
-{
-    mem->accessPlanFunctional(plan, op, cls);
-}
-
-void
-EngineContext::cacheRun(Addr line_addr, std::uint32_t lines, MemOp op,
-                        TrafficClass cls)
-{
-    mem->accessRunFunctional(line_addr, lines, op, cls);
-}
-
-void
 EngineContext::pinDavc(Addr base, std::uint32_t width)
 {
     // Pin the hottest vertices' rows until the DAVC budget is spent.
@@ -156,8 +150,8 @@ EngineContext::pinDavc(Addr base, std::uint32_t width)
             break;
         const Addr row_base = base + static_cast<Addr>(v) * stride;
         for (std::uint64_t l = 0; l < row_lines; ++l) {
-            mem->cache().pin(row_base + l * kCachelineBytes,
-                             TrafficClass::FeatureIn);
+            cache.pin(row_base + l * kCachelineBytes,
+                      TrafficClass::FeatureIn);
         }
         pinned += row_lines;
     }

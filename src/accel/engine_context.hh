@@ -1,15 +1,18 @@
 /**
  * @file
- * Shared per-layer execution state handed to dataflow strategies.
+ * Shared per-layer execution state handed to the dataflow paths.
  *
  * EngineContext bundles everything a dataflow needs to simulate one
- * layer — configuration, layer context, event queue, memory system,
- * systolic array, stream-traffic counters — plus the roofline,
- * snapshot and stream helpers both execution modes share. It is the
- * documented interface between the strategy layer
- * (src/accel/dataflow/) and the timing engines (src/accel/timing/):
- * all members are public, so no component needs friend access into
- * the layer engine.
+ * layer — configuration, layer context, event queue, the HBM model
+ * and the global cache in front of it, systolic array,
+ * stream-traffic counters — plus the roofline, snapshot and stream
+ * helpers both execution modes share. It is the documented interface
+ * between the dataflow paths (src/accel/dataflow/) and the timing
+ * engines (src/accel/timing/): all members are public, so no
+ * component needs friend access into the layer engine. Engines call
+ * the memory models directly: feature gathers go through `cache`,
+ * topology fetches and stream DMA straight to `dram`, and column
+ * product's partial sums through `psumBuffer`.
  */
 
 #ifndef SGCN_ACCEL_ENGINE_CONTEXT_HH
@@ -22,7 +25,8 @@
 #include "accel/workload.hh"
 #include "engine/systolic.hh"
 #include "graph/partition.hh"
-#include "mem/memory_system.hh"
+#include "mem/cache.hh"
+#include "mem/dram.hh"
 #include "sim/event_queue.hh"
 
 namespace sgcn
@@ -61,6 +65,11 @@ struct EngineContext
 
     Snapshot snapshot() const;
 
+    /** Every off-chip line so far: DRAM timing traffic, the global
+     *  cache's and the psum banks' functional fills and spills, and
+     *  fast-mode stream traffic. */
+    TrafficCounters offChipTraffic() const;
+
     /** Roofline time for a phase given compute cycles and the
      *  traffic delta since @p before. */
     Cycle phaseCycles(Cycle compute, const Snapshot &before) const;
@@ -74,14 +83,6 @@ struct EngineContext
 
     /** Count one plan as stream traffic (fast mode). */
     void streamPlan(const AccessPlan &plan, MemOp op, TrafficClass cls);
-
-    /** Route one plan through the functional cache (fast mode). */
-    void cachePlan(const AccessPlan &plan, MemOp op, TrafficClass cls);
-
-    /** Route one contiguous run of lines through the functional
-     *  cache (fast mode) — cachePlan without the plan object. */
-    void cacheRun(Addr line_addr, std::uint32_t lines, MemOp op,
-                  TrafficClass cls);
 
     /** Sampled edge count for a (vertex, src-tile) edge range. */
     std::uint32_t sampledEdges(std::uint32_t available) const;
@@ -135,12 +136,8 @@ struct EngineContext
     const AccelConfig &cfg;
     const LayerContext &layer;
 
-    /** Mode the current run() executes in; set by the layer engine
-     *  before dispatching to the strategy. */
-    ExecutionMode mode = ExecutionMode::Fast;
-
     /** Event-queue time at which the current layer run began; set by
-     *  the layer engine before dispatching to the strategy. Timing
+     *  the layer engine before dispatching to the dataflow. Timing
      *  paths measure every phase relative to this base instead of
      *  capturing events.now() ad hoc at engine construction — the
      *  construction-time capture was only correct while each layer
@@ -150,7 +147,9 @@ struct EngineContext
     Cycle layerBase = 0;
 
     EventQueue events;
-    std::unique_ptr<MemorySystem> mem;
+    Dram dram;
+    /** The global cache (Table III) in front of dram. */
+    Cache cache;
     SystolicArray systolic;
 
     /** Column-product partial-sum accumulator banks (AWB-GCN):

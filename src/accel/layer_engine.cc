@@ -1,6 +1,6 @@
 #include "accel/layer_engine.hh"
 
-#include "accel/dataflow/registry.hh"
+#include "accel/dataflow/dataflow.hh"
 #include "sim/logging.hh"
 
 namespace sgcn
@@ -35,9 +35,21 @@ LayerResult
 LayerEngine::run(ExecutionMode mode)
 {
     LayerResult result;
-    ec.mode = mode;
     ec.layerBase = ec.events.now();
-    dataflowFor(effectiveDataflow()).run(ec, result);
+    const bool fast = mode == ExecutionMode::Fast;
+    // No default: -Wswitch flags a DataflowKind without a case.
+    switch (effectiveDataflow()) {
+      case DataflowKind::AggFirstRowProduct:
+        fast ? aggFirstFast(ec, result) : aggFirstTiming(ec, result);
+        break;
+      case DataflowKind::CombFirstRowProduct:
+        fast ? combFirstFast(ec, result) : combFirstTiming(ec, result);
+        break;
+      case DataflowKind::ColumnProduct:
+        fast ? columnProductFast(ec, result)
+             : columnProductTiming(ec, result);
+        break;
+    }
     finalize(result);
     return result;
 }
@@ -54,42 +66,33 @@ LayerEngine::finalize(LayerResult &result)
         w_lines * ec.cfg.dram.burstCycles / ec.cfg.dram.channels;
     result.cycles += w_cycles;
 
-    // Registry-extension dataflows that predate tile spans report
-    // none; give them one whole-layer span so the per-tile pipeline
-    // degenerates to per-layer gating instead of failing.
-    if (result.schedule.tileSpans.empty())
-        result.schedule.setTileSpans({}, {});
-
     // The weight stream is the schedule's input-DMA prefix: W^l
     // prefetches ahead of the first feature read, which is the
     // window the network pipeline hides behind the previous layer's
-    // output drain. Shifting the strategy-reported phases keeps the
+    // output drain. Shifting the dataflow-reported phases keeps the
     // schedule consistent with the serialized total.
     result.schedule.shift(w_cycles);
     result.schedule.inputDma.start = 0;
     SGCN_ASSERT(result.schedule.wellOrdered() &&
                     result.schedule.criticalEnd() == result.cycles &&
                     result.schedule.tileSpansWellFormed(),
-                "dataflow '",
-                dataflowFor(effectiveDataflow()).name(),
+                "dataflow '", dataflowKindName(effectiveDataflow()),
                 "' reported a layer schedule inconsistent with its "
                 "cycle total");
 
-    result.traffic = ec.mem->offChipTraffic();
-    result.traffic.merge(ec.fastStreamTraffic);
-    const CacheStats &stats = ec.mem->cache().stats();
+    result.traffic = ec.offChipTraffic();
+    const CacheStats &stats = ec.cache.stats();
     result.cacheAccesses = stats.hits + stats.misses;
     result.cacheHits = stats.hits;
     if (ec.psumBuffer) {
         // Accumulator-bank accesses are on-chip SRAM work and count
-        // towards energy; their spills are off-chip traffic.
-        result.traffic.merge(ec.psumBuffer->functionalDramTraffic());
+        // towards energy (their spills are in offChipTraffic).
         const CacheStats &psum_stats = ec.psumBuffer->stats();
         result.cacheAccesses += psum_stats.hits + psum_stats.misses;
         result.cacheHits += psum_stats.hits;
     }
     result.macs = ec.aggMacs + ec.combMacs;
-    result.dramRetries = ec.mem->dram().transientRetries();
+    result.dramRetries = ec.dram.transientRetries();
 
     result.bwUtil = ec.cfg.dram.bandwidthUtil(
         result.traffic.totalLines(), result.cycles);

@@ -12,6 +12,7 @@
 
 #include "energy/energy_model.hh"
 #include "mem/mem_request.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace sgcn
@@ -214,7 +215,8 @@ struct LayerSchedule
      * double-buffer swap point). Callers set the phase spans first;
      * observed event times that straggle past a phase boundary are
      * clamped rather than trusted, so the spans always satisfy
-     * tileSpansWellFormed().
+     * tileSpansWellFormed(). At least one tile is required: every
+     * dataflow reports its tile structure.
      */
     void
     setTileSpans(std::vector<PhaseSpan> consume,
@@ -223,15 +225,8 @@ struct LayerSchedule
         const Cycle end = criticalEnd();
         const std::size_t count =
             std::min(consume.size(), ready.size());
+        SGCN_ASSERT(count > 0, "a layer schedule needs tile spans");
         tileSpans.clear();
-        if (count == 0) {
-            // No tile structure reported: one whole-layer span, so
-            // per-tile gating degenerates to per-layer gating.
-            tileSpans.push_back(TileSpan{
-                0, PhaseSpan{firstFeatureRead(), computeEnd()},
-                outputDrain.end});
-            return;
-        }
         tileSpans.reserve(count);
         Cycle prev_start = 0;
         Cycle prev_ready = outputDrain.start;

@@ -4,7 +4,6 @@
 #include <memory>
 #include <span>
 
-#include "accel/dataflow/registry.hh"
 #include "accel/interconnect/exchange.hh"
 #include "accel/layer_engine.hh"
 #include "accel/pipeline/layer_pipeline.hh"
@@ -85,13 +84,6 @@ tryRunNetwork(const AccelConfig &config, const Dataset &dataset,
                 "RunOptions::sampledIntermediateLayers must be >= 1: "
                 "a zero-sample run would silently report "
                 "input-layer-only totals");
-
-    // Fail early, by name, if any dataflow this run will execute is
-    // missing from the registry (the input layer may run a different
-    // strategy than the configured kind, SIII-A).
-    dataflowFor(LayerEngine::effectiveDataflow(config, false));
-    if (opts.includeInputLayer)
-        dataflowFor(LayerEngine::effectiveDataflow(config, true));
 
     RunResult run;
     run.accelName = config.name;
@@ -455,15 +447,6 @@ tryRunAll(const std::vector<AccelConfig> &configs,
           const Dataset &dataset, const NetworkSpec &net,
           const RunOptions &opts)
 {
-    // Resolve every dataflow before fanning out: registration is
-    // startup-only (see dataflow/registry.hh), so a missing strategy
-    // should fail on the caller thread, not inside a worker.
-    for (const auto &config : configs) {
-        dataflowFor(LayerEngine::effectiveDataflow(config, false));
-        if (opts.includeInputLayer)
-            dataflowFor(LayerEngine::effectiveDataflow(config, true));
-    }
-
     std::vector<RunResult> results(configs.size());
     const Status status =
         parallelTry(opts.jobs, configs.size(), [&](std::size_t i) {

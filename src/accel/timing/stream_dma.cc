@@ -53,11 +53,11 @@ StreamDma::issue()
             runs.pop_front();
             cursor = 0;
         }
-        ec.mem->dram().accessRun(first, chunk, run.op, run.cls,
-                                 MemCallback([this] {
-                                     --outstanding;
-                                     issue();
-                                 }));
+        ec.dram.accessRun(first, chunk, run.op, run.cls,
+                          MemCallback([this] {
+                              --outstanding;
+                              issue();
+                          }));
     }
     if (started && runs.empty() && outstanding == 0 && done) {
         auto cb = std::move(done);

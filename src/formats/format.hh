@@ -149,8 +149,6 @@ class FeatureLayout
         expectedDensity = density;
     }
 
-    double getExpectedDensity() const { return expectedDensity; }
-
     /** Number of unit slices per row (1 when slicing unsupported). */
     unsigned numSlices() const { return sliceCount; }
 

@@ -4,10 +4,10 @@
  *
  * An AccessPlan is the interchange format between the feature
  * layouts (which know where a row's bytes live) and the memory
- * system (which moves 64B lines): up to kMaxRuns contiguous runs of
- * lines. Contiguous additions merge, so plans stay tiny. The memory
- * system consumes whole plans through its bulk entry points
- * (MemorySystem::accessPlan, Dram::accessBurst) so a plan costs one
+ * models (which move 64B lines): up to kMaxRuns contiguous runs of
+ * lines. Contiguous additions merge, so plans stay tiny. The cache
+ * and the DRAM consume whole plans through their bulk entry points
+ * (Cache::accessBurst, Dram::accessBurst) so a plan costs one
  * completion callback, not one per line.
  */
 

@@ -266,16 +266,6 @@ FaultPlan::failsAt(unsigned chip, unsigned arch_layer) const
     return false;
 }
 
-bool
-FaultPlan::hasChipFailure() const
-{
-    for (const FaultSpec &fault : faults) {
-        if (fault.kind == FaultKind::ChipFail)
-            return true;
-    }
-    return false;
-}
-
 double
 FaultInjector::hashUniform(std::uint64_t seed, std::uint64_t stream,
                            std::uint64_t counter)

@@ -135,9 +135,6 @@ struct FaultPlan
 
     /** True when @p chip dies at (or before) @p arch_layer. */
     bool failsAt(unsigned chip, unsigned arch_layer) const;
-
-    /** True when any chip-fail clause is present. */
-    bool hasChipFailure() const;
 };
 
 /**

@@ -65,15 +65,6 @@ class Rng
         return static_cast<std::uint64_t>(product >> 64);
     }
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t
-    uniformRange(std::int64_t lo, std::int64_t hi)
-    {
-        SGCN_ASSERT(lo <= hi);
-        return lo + static_cast<std::int64_t>(
-            uniformInt(static_cast<std::uint64_t>(hi - lo) + 1));
-    }
-
     /** Bernoulli trial with probability @p p of true. */
     bool
     bernoulli(double p)

@@ -12,7 +12,8 @@
 #include "formats/dense.hh"
 #include "graph/generators.hh"
 #include "graph/partition.hh"
-#include "mem/memory_system.hh"
+#include "mem/cache.hh"
+#include "mem/dram.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 
@@ -154,14 +155,21 @@ TEST(EdgeCases, CacheResetStats)
         MemRequest{0, MemOp::Read, TrafficClass::FeatureIn}));
 }
 
-TEST(EdgeCases, MemorySystemResetStats)
+TEST(EdgeCases, CacheAndDramResetStats)
 {
     EventQueue events;
-    MemorySystem mem({}, DramConfig::hbm2(), events);
-    mem.accessFunctional(
+    Dram dram(DramConfig::hbm2(), events);
+    Cache cache({}, dram, events);
+    cache.accessFunctional(
         MemRequest{0, MemOp::Read, TrafficClass::FeatureIn});
-    mem.resetStats();
-    EXPECT_EQ(mem.offChipTraffic().totalLines(), 0u);
+    cache.access(
+        MemRequest{1 << 20, MemOp::Read, TrafficClass::FeatureIn},
+        nullptr);
+    events.run();
+    cache.resetStats();
+    dram.resetStats();
+    EXPECT_EQ(cache.functionalDramTraffic().totalLines(), 0u);
+    EXPECT_EQ(dram.traffic().totalLines(), 0u);
 }
 
 TEST(EdgeCases, DramInFlightDrainsToZero)

@@ -2,7 +2,7 @@
  * @file
  * The recoverable-error layer (Expected/Status) and every library
  * path converted from fatal() to typed errors: graph loaders fed
- * crafted corrupt fixtures, synth-spec parsing, registry and
+ * crafted corrupt fixtures, synth-spec parsing, partition-policy and
  * personality lookups, and the sgcn_sim CLI's exit-code contract
  * (carries the "corrupt" ctest label; the ASan+UBSan CI job runs
  * exactly this label over the malformed-input fixtures).
@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "accel/dataflow/registry.hh"
 #include "accel/personalities.hh"
 #include "graph/datasets.hh"
 #include "graph/generators.hh"
@@ -312,14 +311,6 @@ TEST(Lookups, UnknownPersonalityIsNotFoundAndListsTheRoster)
     EXPECT_EQ(config.error().code, ErrorCode::NotFound);
     EXPECT_NE(config.error().message.find("SGCN"), std::string::npos);
     EXPECT_TRUE(tryPersonalityByName("SGCN").ok());
-}
-
-TEST(Lookups, RegisteredDataflowsResolve)
-{
-    Expected<const Dataflow *> flow =
-        tryDataflowFor(DataflowKind::AggFirstRowProduct);
-    ASSERT_TRUE(flow.ok());
-    EXPECT_NE(flow.value(), nullptr);
 }
 
 // --------------------------------------------------------------

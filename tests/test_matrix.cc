@@ -119,26 +119,25 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TableI, PersonalityFlags)
 {
     const AccelConfig sgcn = makeSgcn();
-    EXPECT_TRUE(sgcn.aggregationFirst());
-    EXPECT_TRUE(sgcn.compressedFeatures());
+    EXPECT_EQ(sgcn.dataflow, DataflowKind::AggFirstRowProduct);
     EXPECT_EQ(sgcn.format, FormatKind::Beicsr);
     EXPECT_TRUE(sgcn.sac);
     EXPECT_EQ(sgcn.sliceC, 96u);
     EXPECT_EQ(sgcn.sacStripHeight, 32u);
 
     const AccelConfig gcnax = makeGcnax();
-    EXPECT_FALSE(gcnax.compressedFeatures());
+    EXPECT_EQ(gcnax.format, FormatKind::Dense);
     EXPECT_TRUE(gcnax.topologyTiling);
     EXPECT_FALSE(gcnax.sac);
 
     const AccelConfig hygcn = makeHygcn();
-    EXPECT_TRUE(hygcn.aggregationFirst());
+    EXPECT_EQ(hygcn.dataflow, DataflowKind::AggFirstRowProduct);
     EXPECT_FALSE(hygcn.topologyTiling);
 
     const AccelConfig awb = makeAwbGcn();
-    EXPECT_TRUE(awb.columnProduct());
+    EXPECT_EQ(awb.dataflow, DataflowKind::ColumnProduct);
     EXPECT_TRUE(awb.zeroSkipCombination);
-    EXPECT_FALSE(awb.compressedFeatures());
+    EXPECT_EQ(awb.format, FormatKind::Dense);
 
     const AccelConfig engn = makeEngn();
     EXPECT_TRUE(engn.davc);

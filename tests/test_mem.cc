@@ -11,7 +11,6 @@
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "mem/memory_system.hh"
 #include "sim/rng.hh"
 
 namespace sgcn
@@ -395,35 +394,27 @@ TEST(DramTest, UtilizationAccounting)
     EXPECT_LE(util, 1.0);
 }
 
-TEST(MemorySystemTest, BypassSkipsCache)
+TEST(CacheDram, TrafficMergesTimingAndFunctional)
 {
+    // A functional miss counts in the cache's own DRAM counters, a
+    // timing miss in the DRAM model's: the two are disjoint, so the
+    // off-chip total is their merge with nothing counted twice.
     EventQueue events;
-    CacheConfig cache_config;
-    MemorySystem mem(cache_config, DramConfig::hbm2(), events);
-    mem.setBypass(TrafficClass::Weight, true);
-    mem.accessFunctional(
-        MemRequest{0, MemOp::Read, TrafficClass::Weight});
-    mem.accessFunctional(
-        MemRequest{0, MemOp::Read, TrafficClass::Weight});
-    // No cache involvement: both count as off-chip.
-    EXPECT_EQ(mem.cache().stats().hits + mem.cache().stats().misses,
-              0u);
-    EXPECT_EQ(mem.offChipTraffic().classLines(TrafficClass::Weight),
-              2u);
-}
-
-TEST(MemorySystemTest, TrafficMergesTimingAndFunctional)
-{
-    EventQueue events;
-    CacheConfig cache_config;
-    MemorySystem mem(cache_config, DramConfig::hbm2(), events);
-    mem.accessFunctional(
+    Dram dram(DramConfig::hbm2(), events);
+    Cache cache(CacheConfig{}, dram, events);
+    cache.accessFunctional(
         MemRequest{0, MemOp::Read, TrafficClass::FeatureIn});
-    mem.access(MemRequest{1 << 20, MemOp::Read, TrafficClass::FeatureIn},
-               nullptr);
+    cache.access(
+        MemRequest{1 << 20, MemOp::Read, TrafficClass::FeatureIn},
+        nullptr);
     events.run();
-    EXPECT_EQ(mem.offChipTraffic().classLines(TrafficClass::FeatureIn),
-              2u);
+    EXPECT_EQ(cache.functionalDramTraffic().classLines(
+                  TrafficClass::FeatureIn),
+              1u);
+    EXPECT_EQ(dram.traffic().classLines(TrafficClass::FeatureIn), 1u);
+    TrafficCounters off_chip = dram.traffic();
+    off_chip.merge(cache.functionalDramTraffic());
+    EXPECT_EQ(off_chip.classLines(TrafficClass::FeatureIn), 2u);
 }
 
 } // namespace

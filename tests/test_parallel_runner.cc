@@ -92,7 +92,7 @@ TEST_F(ParallelRunner, ConcurrentRunNetworkCallsDontRace)
 
 TEST_F(ParallelRunner, MixedPersonalitiesUnderConcurrency)
 {
-    // Different dataflows concurrently: every registry lookup path
+    // Different dataflows concurrently: every dataflow path
     // (agg-first, comb-first input layers, column product) at once.
     const auto configs = allPersonalities();
     const auto serial = runAll(configs, cora, net, opts);
