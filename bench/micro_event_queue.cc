@@ -225,11 +225,12 @@ BM_MixedDramWorkload(benchmark::State &state)
         static_cast<double>(events.executed()));
 
     // The memory path is engineered allocation-free in steady state:
-    // pooled burst joins, the open-addressing MSHR table with inline
-    // target storage, and retained-capacity scheduling queues. The
-    // measured residue is ~0.02 allocs/plan (event-slab ripples);
-    // fail loudly if per-miss bookkeeping allocations ever return
-    // (the unordered_map-based MSHRs sat at ~9 allocs/plan).
+    // pooled burst joins whose node pointers are each line's
+    // completion, the open-addressing MSHR table with inline target
+    // storage, and retained-capacity scheduling queues. The measured
+    // residue is ~0.004 allocs/plan (4-CPU x86-64 VM); fail loudly
+    // if per-miss bookkeeping allocations ever return (the
+    // unordered_map-based MSHRs sat at ~9 allocs/plan).
     constexpr double kMaxAllocsPerPlan = 0.5;
     if (per_plan > kMaxAllocsPerPlan) {
         std::fprintf(stderr,

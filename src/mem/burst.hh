@@ -6,8 +6,10 @@
  * as its own request, with a heap-allocated std::function callback
  * holding a shared_ptr<unsigned> join counter. A BurstPool node
  * replaces both: one plain counter per burst, recycled through a
- * free list, with per-line callbacks that capture only the node
- * pointer (and therefore stay inline in MemCallback).
+ * free list. Inside the cache and DRAM models a line's completion is
+ * just a (nullable) Node pointer: queue entries, MSHR targets and
+ * completion events carry the pointer as plain data, and only the
+ * node holds a type-erased callback.
  *
  * Two completion disciplines share the node type:
  *  - join():   the stored callback fires once, when the last of
@@ -102,8 +104,16 @@ class BurstPool
         return node;
     }
 
-    /** A part-completion callback for @p node; construct one per
-     *  issued part (captures only the node pointer). */
+    /** One-line completion: a join(1, @p done) node, or null when
+     *  @p done is empty (the line then signals nothing). */
+    Node *
+    single(MemCallback done)
+    {
+        return done ? join(1, std::move(done)) : nullptr;
+    }
+
+    /** A part-completion callback for @p node, for issuers that take
+     *  a MemCallback (captures only the node pointer). */
     static MemCallback
     part(Node *node)
     {

@@ -206,54 +206,56 @@ Cache::mshrErase(std::size_t index)
 }
 
 void
-Cache::mshrPushTarget(MshrEntry &entry, MemCallback done)
+Cache::mshrPushTarget(MshrEntry &entry, BurstPool::Node *node)
 {
     if (entry.inlineUsed < MshrEntry::kInlineTargets) {
-        entry.inlineTargets[entry.inlineUsed++] = std::move(done);
+        entry.inlineTargets[entry.inlineUsed++] = node;
         return;
     }
     MshrTargetNode *tail = entry.overflowTail;
     if (tail == nullptr || tail->used == MshrTargetNode::kTargets) {
-        MshrTargetNode *node;
+        MshrTargetNode *block;
         if (mshrTargetFree != nullptr) {
-            node = mshrTargetFree;
-            mshrTargetFree = node->next;
-            node->next = nullptr;
-            node->used = 0;
+            block = mshrTargetFree;
+            mshrTargetFree = block->next;
+            block->next = nullptr;
+            block->used = 0;
         } else {
-            node = new MshrTargetNode();
+            block = new MshrTargetNode();
         }
         if (tail == nullptr)
-            entry.overflowHead = node;
+            entry.overflowHead = block;
         else
-            tail->next = node;
-        entry.overflowTail = node;
-        tail = node;
+            tail->next = block;
+        entry.overflowTail = block;
+        tail = block;
     }
-    tail->targets[tail->used++] = std::move(done);
+    tail->targets[tail->used++] = node;
 }
 
 void
 Cache::mshrDispatchTargets(MshrEntry &entry)
 {
-    for (unsigned i = 0; i < entry.inlineUsed; ++i) {
-        events.scheduleAfter(cfg.hitLatency,
-                             std::move(entry.inlineTargets[i]));
-    }
+    for (unsigned i = 0; i < entry.inlineUsed; ++i)
+        completeAfterHit(entry.inlineTargets[i]);
     entry.inlineUsed = 0;
-    MshrTargetNode *node = entry.overflowHead;
-    while (node != nullptr) {
-        for (unsigned i = 0; i < node->used; ++i) {
-            events.scheduleAfter(cfg.hitLatency,
-                                 std::move(node->targets[i]));
-        }
-        node->used = 0;
-        MshrTargetNode *next = node->next;
-        node->next = mshrTargetFree;
-        mshrTargetFree = node;
-        node = next;
+    MshrTargetNode *block = entry.overflowHead;
+    while (block != nullptr) {
+        for (unsigned i = 0; i < block->used; ++i)
+            completeAfterHit(block->targets[i]);
+        block->used = 0;
+        MshrTargetNode *next = block->next;
+        block->next = mshrTargetFree;
+        mshrTargetFree = block;
+        block = next;
     }
     entry.overflowHead = entry.overflowTail = nullptr;
+}
+
+void
+Cache::completeAfterHit(BurstPool::Node *node)
+{
+    events.scheduleAfter(cfg.hitLatency, [node] { node->complete(); });
 }
 
 std::uint64_t
@@ -488,7 +490,7 @@ Cache::installAt(std::size_t victim, Addr line_addr, bool timing,
             MemRequest writeback{victim_addr, MemOp::Write,
                                  TrafficClass::FeatureOut};
             if (timing)
-                dram.access(writeback, nullptr);
+                dram.accessLine(writeback, nullptr);
             else
                 functionalTraffic.add(MemOp::Write,
                                       TrafficClass::FeatureOut);
@@ -508,6 +510,12 @@ Cache::installAt(std::size_t victim, Addr line_addr, bool timing,
 void
 Cache::access(const MemRequest &request, MemCallback done)
 {
+    accessLine(request, bursts.single(std::move(done)));
+}
+
+void
+Cache::accessLine(const MemRequest &request, BurstPool::Node *node)
+{
     SGCN_ASSERT(isAligned(request.lineAddr, kCachelineBytes),
                 "cache request not line-aligned: ", request.lineAddr);
 
@@ -516,8 +524,8 @@ Cache::access(const MemRequest &request, MemCallback done)
         ++statCounters.hits;
         if (request.op == MemOp::Write)
             lineMeta[hit] |= kLineDirty;
-        if (done)
-            events.scheduleAfter(cfg.hitLatency, std::move(done));
+        if (node != nullptr)
+            completeAfterHit(node);
         return;
     }
 
@@ -526,17 +534,17 @@ Cache::access(const MemRequest &request, MemCallback done)
     if (MshrEntry *mshr = mshrFind(request.lineAddr)) {
         ++statCounters.mshrCoalesced;
         mshr->anyWrite |= (request.op == MemOp::Write);
-        if (done)
-            mshrPushTarget(*mshr, std::move(done));
+        if (node != nullptr)
+            mshrPushTarget(*mshr, node);
         return;
     }
 
     if (mshrCount >= cfg.mshrs) {
-        pendingQueue.emplace_back(request, std::move(done));
+        pendingQueue.emplace_back(request, node);
         return;
     }
 
-    startMiss(request, std::move(done));
+    startMiss(request, node);
 }
 
 void
@@ -551,9 +559,8 @@ Cache::accessBurst(const AccessPlan &plan, MemOp op, TrafficClass cls,
     }
     BurstPool::Node *node =
         bursts.join(static_cast<std::uint32_t>(total), std::move(done));
-    plan.forEachLine([&](Addr line) {
-        access(MemRequest{line, op, cls}, BurstPool::part(node));
-    });
+    plan.forEachLine(
+        [&](Addr line) { accessLine(MemRequest{line, op, cls}, node); });
 }
 
 void
@@ -569,28 +576,28 @@ Cache::accessBurstRmw(const AccessPlan &plan, TrafficClass cls,
     BurstPool::Node *node = bursts.join(
         static_cast<std::uint32_t>(2 * total), std::move(done));
     plan.forEachLine([&](Addr line) {
-        access(MemRequest{line, MemOp::Read, cls},
-               BurstPool::part(node));
-        access(MemRequest{line, MemOp::Write, cls},
-               BurstPool::part(node));
+        accessLine(MemRequest{line, MemOp::Read, cls}, node);
+        accessLine(MemRequest{line, MemOp::Write, cls}, node);
     });
 }
 
 void
-Cache::startMiss(const MemRequest &request, MemCallback done)
+Cache::startMiss(const MemRequest &request, BurstPool::Node *node)
 {
     MshrEntry &mshr = mshrAllocate(request.lineAddr);
     mshr.cls = request.cls;
     mshr.anyWrite = (request.op == MemOp::Write);
-    if (done)
-        mshrPushTarget(mshr, std::move(done));
+    if (node != nullptr)
+        mshrPushTarget(mshr, node);
 
     // Write-allocate: fetch the line before merging the write. The
     // fetch is tagged with the requester's traffic class so the
     // off-chip breakdown attributes it correctly.
     MemRequest fetch{request.lineAddr, MemOp::Read, request.cls};
     const Addr line_addr = request.lineAddr;
-    dram.access(fetch, [this, line_addr] { finishMiss(line_addr); });
+    dram.accessLine(fetch, bursts.join(1, [this, line_addr] {
+        finishMiss(line_addr);
+    }));
 }
 
 void
@@ -617,11 +624,7 @@ Cache::drainPendingQueue()
 {
     while (pendingHead < pendingQueue.size() &&
            mshrCount < cfg.mshrs) {
-        auto [request, done] = std::move(pendingQueue[pendingHead]);
-        if (++pendingHead == pendingQueue.size()) {
-            pendingQueue.clear();
-            pendingHead = 0;
-        }
+        const auto [request, node] = pendingQueue[pendingHead++];
 
         // Re-check the tag array: an earlier fill may have satisfied
         // this line already.
@@ -630,18 +633,29 @@ Cache::drainPendingQueue()
             ++statCounters.hits;
             if (request.op == MemOp::Write)
                 lineMeta[hit] |= kLineDirty;
-            if (done)
-                events.scheduleAfter(cfg.hitLatency, std::move(done));
+            if (node != nullptr)
+                completeAfterHit(node);
             continue;
         }
         if (MshrEntry *mshr = mshrFind(request.lineAddr)) {
             ++statCounters.mshrCoalesced;
             mshr->anyWrite |= (request.op == MemOp::Write);
-            if (done)
-                mshrPushTarget(*mshr, std::move(done));
+            if (node != nullptr)
+                mshrPushTarget(*mshr, node);
             continue;
         }
-        startMiss(request, std::move(done));
+        startMiss(request, node);
+    }
+    // Drop the consumed prefix once it outweighs the live tail (all
+    // of it when the queue drained), so the vector stays within
+    // twice its live length; amortized O(1) per request, since each
+    // compaction moves fewer entries than were consumed since the
+    // last.
+    if (pendingHead > pendingQueue.size() / 2) {
+        pendingQueue.erase(pendingQueue.begin(),
+                           pendingQueue.begin() +
+                               static_cast<std::ptrdiff_t>(pendingHead));
+        pendingHead = 0;
     }
 }
 

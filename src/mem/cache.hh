@@ -283,7 +283,7 @@ class Cache
     {
         static constexpr unsigned kTargets = 4;
 
-        MemCallback targets[kTargets];
+        BurstPool::Node *targets[kTargets];
         std::uint8_t used = 0;
         MshrTargetNode *next = nullptr;
     };
@@ -291,9 +291,9 @@ class Cache
     /**
      * One outstanding miss in the open-addressing MSHR table
      * (linear probing, backward-shift deletion). The common
-     * coalescing degree stores its completion targets inline;
-     * deeper chains spill into free-listed MshrTargetNodes. This
-     * replaces the per-miss std::unordered_map node + targets
+     * coalescing degree stores its completion targets (burst nodes)
+     * inline; deeper chains spill into free-listed MshrTargetNodes.
+     * This replaces the per-miss std::unordered_map node + targets
      * vector — the last per-plan allocations on the timing hot
      * path (micro_event_queue's counting allocator pins the bound).
      */
@@ -306,7 +306,7 @@ class Cache
         bool anyWrite = false;
         TrafficClass cls = TrafficClass::FeatureIn;
         std::uint8_t inlineUsed = 0;
-        MemCallback inlineTargets[kInlineTargets];
+        BurstPool::Node *inlineTargets[kInlineTargets];
         MshrTargetNode *overflowHead = nullptr;
         MshrTargetNode *overflowTail = nullptr;
     };
@@ -361,8 +361,16 @@ class Cache
     void runFunctional(Addr line_addr, std::uint32_t lines, bool write,
                        bool rmw, TrafficClass cls);
 
+    /** Timing access of one line whose completion signals @p node
+     *  (null: nothing to signal); the body of access() and of the
+     *  bursts' per-line loops. */
+    void accessLine(const MemRequest &request, BurstPool::Node *node);
+
+    /** Signal @p node after the hit latency. */
+    void completeAfterHit(BurstPool::Node *node);
+
     /** Start servicing a miss: allocate MSHR and fetch from DRAM. */
-    void startMiss(const MemRequest &request, MemCallback done);
+    void startMiss(const MemRequest &request, BurstPool::Node *node);
 
     /** DRAM fill returned; complete all coalesced targets. */
     void finishMiss(Addr line_addr);
@@ -379,8 +387,8 @@ class Cache
     /** Vacate slot @p index, backward-shifting displaced entries. */
     void mshrErase(std::size_t index);
 
-    /** Append @p done to an entry's target list (inline or spill). */
-    void mshrPushTarget(MshrEntry &entry, MemCallback done);
+    /** Append @p node to an entry's target list (inline or spill). */
+    void mshrPushTarget(MshrEntry &entry, BurstPool::Node *node);
 
     /** Schedule every target of @p entry and recycle its spill
      *  nodes; leaves the entry target-empty. */
@@ -463,9 +471,11 @@ class Cache
     /** MSHR-full overflow, FIFO. A head-indexed vector instead of a
      *  deque: the deque's chunk churn was one allocation per few
      *  queued requests in steady state, the vector's retained
-     *  capacity is none (the head compacts whenever the queue
-     *  drains, which the bounded engine windows guarantee). */
-    std::vector<std::pair<MemRequest, MemCallback>> pendingQueue;
+     *  capacity is none. The queue need not ever drain (a timing run
+     *  keeps thousands of lines queued while issuing millions), so
+     *  the consumed prefix is dropped once the head passes half the
+     *  vector, keeping it within twice its live length. */
+    std::vector<std::pair<MemRequest, BurstPool::Node *>> pendingQueue;
     std::size_t pendingHead = 0;
     CacheStats statCounters;
     TrafficCounters functionalTraffic;

@@ -60,15 +60,14 @@ Dram::decode(Addr line_addr, unsigned &channel, unsigned &bank,
     row = row_global / cfg.banksPerChannel;
 }
 
-unsigned
-Dram::decodeChannel(Addr line_addr) const
+void
+Dram::access(const MemRequest &request, MemCallback done)
 {
-    return static_cast<unsigned>((line_addr / cfg.interleaveBytes) %
-                                 cfg.channels);
+    accessLine(request, bursts.single(std::move(done)));
 }
 
 void
-Dram::access(const MemRequest &request, MemCallback done)
+Dram::accessLine(const MemRequest &request, BurstPool::Node *node)
 {
     SGCN_ASSERT(isAligned(request.lineAddr, kCachelineBytes),
                 "DRAM request not line-aligned: ", request.lineAddr);
@@ -77,8 +76,8 @@ Dram::access(const MemRequest &request, MemCallback done)
     unsigned channel_idx, bank_idx;
     std::uint64_t row;
     decode(request.lineAddr, channel_idx, bank_idx, row);
-    channelState[channel_idx].queue.push_back(Pending{
-        request, std::move(done), events.now(), bank_idx, row});
+    channelState[channel_idx].queue.push_back(
+        Pending{request, node, row, bank_idx});
     activateScheduler(channel_idx);
 }
 
@@ -90,7 +89,6 @@ Dram::enqueueRun(Addr first_line, std::uint32_t lines, MemOp op,
                 "DRAM run not line-aligned: ", first_line);
     counters.add(op, cls, lines);
     outstanding += lines;
-    const Cycle now = events.now();
     Addr line = first_line;
     std::uint32_t remaining = lines;
     while (remaining > 0) {
@@ -129,9 +127,8 @@ Dram::enqueueRun(Addr first_line, std::uint32_t lines, MemOp op,
                     row = row_global / cfg.banksPerChannel;
                 }
             }
-            channel.queue.push_back(
-                Pending{MemRequest{line_addr, op, cls},
-                        BurstPool::part(node), now, bank_idx, row});
+            channel.queue.push_back(Pending{
+                MemRequest{line_addr, op, cls}, node, row, bank_idx});
         }
         activateScheduler(channel_idx);
         line += static_cast<Addr>(chunk) * kCachelineBytes;
@@ -289,7 +286,7 @@ void
 Dram::issueRequest(Channel &channel, std::size_t pick)
 {
     const Cycle now = events.now();
-    Pending pending = std::move(channel.queue[pick]);
+    Pending pending = channel.queue[pick];
     channel.queue.erase(channel.queue.begin() +
                         static_cast<std::ptrdiff_t>(pick));
 
@@ -337,15 +334,14 @@ Dram::issueRequest(Channel &channel, std::size_t pick)
             cfg.transientRetryProb) {
         ++retryCount;
         ++pending.attempts;
-        channel.queue.push_back(std::move(pending));
+        channel.queue.push_back(pending);
         return;
     }
 
-    MemCallback done = std::move(pending.done);
-    events.schedule(data_end, [this, done = std::move(done)]() mutable {
+    events.schedule(data_end, [this, node = pending.node] {
         --outstanding;
-        if (done)
-            done();
+        if (node != nullptr)
+            node->complete();
     });
 }
 

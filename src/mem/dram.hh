@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <array>
+#include <type_traits>
 #include <vector>
 
 #include "mem/access_plan.hh"
@@ -139,6 +140,11 @@ class Dram
     /** Enqueue a timing request; @p done fires at completion. */
     void access(const MemRequest &request, MemCallback done);
 
+    /** Enqueue a timing request whose completion signals @p node
+     *  (null: nothing to signal). The memory-path form of access(),
+     *  used by the cache for fills and writebacks. */
+    void accessLine(const MemRequest &request, BurstPool::Node *node);
+
     /**
      * Enqueue every line of @p plan in order; @p done fires exactly
      * once, when the last line's burst finishes (immediately, if the
@@ -193,19 +199,22 @@ class Dram
     void resetStats();
 
   private:
+    /** A queued line: plain data, so the scheduler's mid-queue
+     *  erase and the retry re-queue are memmoves. */
     struct Pending
     {
         MemRequest request;
-        MemCallback done;
-        Cycle enqueued;
+        /** Signalled when the burst completes (null: nothing). */
+        BurstPool::Node *node;
         /** Decoded at enqueue so the FR-FCFS scan (which revisits
          *  every queued request many times) never re-divides. */
-        unsigned bank;
         std::uint64_t row;
+        unsigned bank;
 
         /** Transient-error retries already taken (fault injection). */
         unsigned attempts = 0;
     };
+    static_assert(std::is_trivially_copyable_v<Pending>);
 
     struct Bank
     {
@@ -216,12 +225,6 @@ class Dram
 
     struct Channel
     {
-        // Move-only: Pending holds a move-only callback, so the
-        // channel array must move rather than copy.
-        Channel() = default;
-        Channel(Channel &&) = default;
-        Channel &operator=(Channel &&) = default;
-
         /** FR-FCFS scheduling queue in arrival order. A vector, not
          *  a deque: a deque's push/erase churn allocates and frees
          *  a storage chunk every few requests in steady state,
@@ -249,12 +252,8 @@ class Dram
     void decode(Addr line_addr, unsigned &channel, unsigned &bank,
                 std::uint64_t &row) const;
 
-    /** Channel of @p line_addr (the only decode component enqueuing
-     *  needs; bank/row are re-derived at dispatch). */
-    unsigned decodeChannel(Addr line_addr) const;
-
-    /** Enqueue one run of lines with per-line callbacks minted from
-     *  @p node (shared burst/fanout state). */
+    /** Enqueue one run of lines, each signalling @p node (shared
+     *  burst/fanout state) on completion. */
     void enqueueRun(Addr first_line, std::uint32_t lines, MemOp op,
                     TrafficClass cls, BurstPool::Node *node);
 

@@ -30,9 +30,11 @@ struct MemRequest
 };
 
 /** Inline capture budget of a memory completion callback: engine
- *  item completions and burst-join handles are at most a couple of
- *  pointers plus a word (see kEventCaptureBytes for how this nests
- *  inside event callbacks without spilling). */
+ *  item completions and burst-join handles capture at most a couple
+ *  of pointers plus a word. The cache and DRAM models store one such
+ *  callback per burst, in its BurstPool node, and carry each line's
+ *  completion as the node pointer, so a MemCallback never nests
+ *  inside an event callback. */
 constexpr std::size_t kMemCaptureBytes = 32;
 
 /** Completion callback invoked when a timing request finishes.

@@ -12,9 +12,10 @@
  *
  *  - Callbacks are SmallFunction, not std::function: scheduling an
  *    event with a capture up to kEventCaptureBytes (every callback
- *    the memory system and timing engines produce) never touches the
- *    heap, and larger captures recycle fixed-size blocks through a
- *    thread-local slab (sim/small_function.hh). Callbacks live in a
+ *    of the memory system, every per-item callback of the timing
+ *    engines) never touches the heap, and larger captures recycle
+ *    fixed-size blocks through a thread-local slab
+ *    (sim/small_function.hh). Callbacks live in a
  *    stable slot pool until execution, so ordering structures only
  *    move small PODs.
  *
@@ -42,8 +43,13 @@
 namespace sgcn
 {
 
-/** Inline capture budget of an event callback: sized so a callback
- *  capturing `this` plus a moved-in MemCallback stays inline. */
+/** Inline capture budget of an event callback. The memory models'
+ *  events (cache hit and fill completions, DRAM completions, which
+ *  capture `this` plus a burst node, and scheduler polls) and the
+ *  engines' per-item compute slots capture at most 16 bytes; only a
+ *  per-tile engine callback is larger and spills to the slab. A
+ *  MemCallback (48 bytes with its vtable pointer) does not fit next
+ *  to `this`, which is why the memory path passes node pointers. */
 constexpr std::size_t kEventCaptureBytes = 48;
 
 /** Minimal discrete-event kernel driving all timing simulation. */

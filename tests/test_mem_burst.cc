@@ -7,15 +7,21 @@
  * a Cache). The core property throughout is
  * request-for-request equivalence with the per-line issue loop the
  * bulk path replaced: same completion cycles, same counters, same
- * event counts — with exactly one completion per plan.
+ * event counts — with exactly one completion per plan. Pinned
+ * timelines (the MSHR overflow queue, DRAM transient retries) and a
+ * no-spill check cover the plain-data queues that carry each line's
+ * completion as a burst node pointer.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
 #include <vector>
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "sim/small_function.hh"
 
 namespace sgcn
 {
@@ -32,10 +38,36 @@ struct DramRig
 /** One cache hierarchy + event queue. */
 struct CacheRig
 {
+    explicit CacheRig(const CacheConfig &config = CacheConfig{})
+        : cache(config, dram, events)
+    {
+    }
+
     EventQueue events;
     Dram dram{DramConfig::hbm2(), events};
-    Cache cache{CacheConfig{}, dram, events};
+    Cache cache;
 };
+
+/** FNV-1a over a cycle sequence: pins a long timeline in one value. */
+std::uint64_t
+hashCycles(const std::vector<Cycle> &cycles)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const Cycle cycle : cycles) {
+        hash ^= cycle;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+void
+expectSameTraffic(const TrafficCounters &a, const TrafficCounters &b)
+{
+    for (unsigned i = 0; i < kNumTrafficClasses; ++i) {
+        EXPECT_EQ(a.readLines[i], b.readLines[i]) << "class " << i;
+        EXPECT_EQ(a.writeLines[i], b.writeLines[i]) << "class " << i;
+    }
+}
 
 AccessPlan
 multiRowPlan()
@@ -187,6 +219,48 @@ TEST(DramBurst, AccessRunFiresPerLine)
     EXPECT_EQ(fired, 7u);
 }
 
+TEST(DramBurst, TransientRetriesReplayExactly)
+{
+    // A retried line re-rides the channel queue as a plain entry;
+    // pin the whole retry timeline of a fixed mixed plan (reads over
+    // several rows and channels, writes, a per-line run).
+    DramConfig config = DramConfig::hbm2();
+    config.transientRetryProb = 0.25;
+    config.retrySeed = 11;
+    EventQueue events;
+    Dram dram(config, events);
+
+    AccessPlan writes;
+    writes.addLines(0x20000, 24);
+    writes.addLines(0x60040, 5);
+    Cycle reads_done = 0, writes_done = 0, run_done = 0;
+    unsigned run_lines = 0;
+    dram.accessBurst(multiRowPlan(), MemOp::Read,
+                     TrafficClass::FeatureIn,
+                     MemCallback([&] { reads_done = events.now(); }));
+    dram.accessBurst(writes, MemOp::Write, TrafficClass::FeatureOut,
+                     MemCallback([&] { writes_done = events.now(); }));
+    dram.accessRun(0x1000, 12, MemOp::Read, TrafficClass::Topology,
+                   MemCallback([&] {
+                       ++run_lines;
+                       run_done = events.now();
+                   }));
+    events.run();
+
+    EXPECT_EQ(run_lines, 12u);
+    EXPECT_EQ(dram.inFlight(), 0u);
+    // Retries change timing, never the booked traffic.
+    EXPECT_EQ(dram.traffic().totalLines(), 50u + 29u + 12u);
+    EXPECT_EQ(dram.transientRetries(), 20u);
+    EXPECT_EQ(dram.rowHits(), 91u);
+    EXPECT_EQ(dram.rowMisses(), 20u);
+    EXPECT_EQ(dram.busBusyCycles(), 222u);
+    EXPECT_EQ(reads_done, 122u);
+    EXPECT_EQ(writes_done, 190u);
+    EXPECT_EQ(run_done, 56u);
+    EXPECT_EQ(events.executed(), 305u);
+}
+
 TEST(CacheBurst, ZeroLinePlanCompletesImmediately)
 {
     CacheRig rig;
@@ -320,6 +394,110 @@ TEST(CacheBurst, RoutesPlanThroughCache)
                           TrafficClass::FeatureIn,
                           MemCallback([&] { ++done; }));
     EXPECT_EQ(done, 2);
+}
+
+TEST(CacheBurst, OverflowQueueKeepsFifoAcrossCompactions)
+{
+    // Two MSHRs and an 11,200-line burst: all but two lines wait in
+    // the MSHR-full overflow queue, and each fill admits the next
+    // one. The queue drops its consumed prefix whenever the head
+    // passes half of it (about a dozen times here); admission order,
+    // and with it every line's completion cycle, must not move.
+    CacheConfig config;
+    config.mshrs = 2;
+    AccessPlan plan;
+    for (unsigned r = 0; r < AccessPlan::kMaxRuns; ++r)
+        plan.addLines(static_cast<Addr>(r) * 0x11000, 700);
+    ASSERT_EQ(plan.totalLines(), 11200u);
+
+    CacheRig burst_rig(config), line_rig(config);
+    Cycle burst_done = 0;
+    unsigned burst_completions = 0;
+    burst_rig.cache.accessBurst(plan, MemOp::Read,
+                                TrafficClass::FeatureIn,
+                                MemCallback([&] {
+                                    ++burst_completions;
+                                    burst_done =
+                                        burst_rig.events.now();
+                                }));
+
+    std::vector<Cycle> line_done(plan.totalLines(), 0);
+    std::size_t next = 0;
+    plan.forEachLine([&](Addr line) {
+        Cycle *slot = &line_done[next++];
+        line_rig.cache.access(
+            MemRequest{line, MemOp::Read, TrafficClass::FeatureIn},
+            MemCallback([slot, &events = line_rig.events] {
+                *slot = events.now();
+            }));
+    });
+
+    burst_rig.events.run();
+    line_rig.events.run();
+
+    EXPECT_EQ(burst_completions, 1u);
+    EXPECT_EQ(std::count(line_done.begin(), line_done.end(), Cycle{0}),
+              0);
+    EXPECT_EQ(burst_done,
+              *std::max_element(line_done.begin(), line_done.end()));
+    EXPECT_EQ(burst_rig.events.executed(), line_rig.events.executed());
+    const CacheStats &burst = burst_rig.cache.stats();
+    const CacheStats &line = line_rig.cache.stats();
+    EXPECT_EQ(burst.hits, line.hits);
+    EXPECT_EQ(burst.misses, line.misses);
+    EXPECT_EQ(burst.mshrCoalesced, line.mshrCoalesced);
+    EXPECT_EQ(burst.evictions, line.evictions);
+    EXPECT_EQ(burst.writebacks, line.writebacks);
+    expectSameTraffic(burst_rig.dram.traffic(), line_rig.dram.traffic());
+    EXPECT_EQ(burst_rig.dram.rowHits(), line_rig.dram.rowHits());
+    EXPECT_EQ(burst_rig.dram.rowMisses(), line_rig.dram.rowMisses());
+    EXPECT_EQ(burst_rig.cache.outstandingMisses(), 0u);
+
+    // Pinned per-line timeline: FIFO admission from the overflow
+    // queue, as a queue that never drops its prefix admits.
+    EXPECT_EQ(line.misses, 11200u);
+    EXPECT_EQ(line.evictions, 11200u - 8192u);
+    EXPECT_EQ(hashCycles(line_done), 16563756001517049445ull);
+    EXPECT_EQ(burst_done, 109316u);
+}
+
+TEST(MemPath, LinesNeverSpillCallbacksToTheSlab)
+{
+    // Spilled event captures return to a thread-local free list, so
+    // on a fresh thread the list afterwards counts every block the
+    // run ever spilled. Lines carry burst node pointers, so neither
+    // cache hits and fills, MSHR targets, the overflow queue, dirty
+    // writebacks nor DRAM completions may spill.
+    std::size_t spilled = ~std::size_t{0};
+    std::uint64_t writebacks = 0, misses = 0;
+    unsigned done = 0;
+    std::thread([&] {
+        CacheConfig config;
+        config.sizeBytes = 16 * 1024; // 256 lines
+        config.mshrs = 8;
+        CacheRig rig(config);
+        AccessPlan writes, reads;
+        writes.addLines(0x0, 512);
+        reads.addLines(0x100000, 384);
+        reads.addLines(0x0, 64);
+        rig.cache.accessBurst(writes, MemOp::Write,
+                              TrafficClass::FeatureOut,
+                              MemCallback([&done] { ++done; }));
+        rig.cache.accessBurst(reads, MemOp::Read,
+                              TrafficClass::FeatureIn,
+                              MemCallback([&done] { ++done; }));
+        rig.dram.accessRun(0x200000, 64, MemOp::Read,
+                           TrafficClass::Topology,
+                           MemCallback([&done] { ++done; }));
+        rig.events.run();
+        writebacks = rig.cache.stats().writebacks;
+        misses = rig.cache.stats().misses;
+        spilled = detail::CallbackSlab::freeBlocks();
+    }).join();
+    EXPECT_EQ(done, 2u + 64u);
+    EXPECT_GE(misses, 512u + 384u);
+    EXPECT_GT(writebacks, 0u);
+    EXPECT_EQ(spilled, 0u);
 }
 
 } // namespace
